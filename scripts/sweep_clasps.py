@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Sweep the Brunnian clasp family: geometric value versus the oracle.
 
+Checks massey3 = -milnor_mu, sign included, in all six orderings; exits 1
+on any mismatch.
+
 Usage: sweep_clasps.py [max_k]   (default 4)
 """
 
+import itertools
 import sys
 import time
 
+from masseylink.embed import build_embedding
 from masseylink.fixtures import clasp_family
 from masseylink.magnus import milnor_mu
 from masseylink.massey import massey3
@@ -14,17 +19,25 @@ from masseylink.massey import massey3
 
 def main():
     max_k = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    print("  k  crossings  massey3(1,2,3)  mu(1,2,3)  time")
+    print("  k  crossings  ordering  massey3  -mu  time")
+    mismatches = 0
     for k in range(1, max_k + 1):
         d = clasp_family(k)
         t0 = time.time()
-        r = massey3(d, (1, 2, 3))
-        dt = time.time() - t0
-        mu = milnor_mu(d, (1, 2, 3))
-        flag = "" if abs(r.value) == abs(mu) else "  MISMATCH"
-        print("%3d  %9d  %14d  %9d  %4.1fs%s"
-              % (k, len(d.crossings), r.value, mu, dt, flag))
+        e = build_embedding(d)
+        print("%3d  %9d  build %.1fs" % (k, len(d.crossings), time.time() - t0))
+        for order in itertools.permutations((1, 2, 3)):
+            t0 = time.time()
+            r = massey3(e, order)
+            dt = time.time() - t0
+            want = -milnor_mu(d, order)
+            flag = "" if r.value == want else "  MISMATCH"
+            mismatches += r.value != want
+            print("%3d  %9d  %8s  %7d  %3d  %4.1fs%s"
+                  % (k, len(d.crossings), "".join(map(str, order)), r.value,
+                     want, dt, flag))
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -156,9 +156,7 @@ def _cmd_massey3(args):
     d = _load_diagram(args)
     order = _parse_ints(args.order, 3)
     r = massey3(d, order, grid_scale=args.grid_scale, perturb_index=args.seed)
-    if args.dump_geometry or args.dump_trace:
-        e = build_embedding(d, grid_scale=args.grid_scale, perturb_index=args.seed)
-        _maybe_dumps(args, e, traces=list(r.trace_refs.values()))
+    _maybe_dumps(args, r.embedding, traces=list(r.trace_refs.values()))
     _emit(
         {
             "command": "massey3",

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingDegenerate, NonRealizable
-from .rational import Q, sign
+from .plgeom import orient2
+from .rational import Q
 
 # snapped-grid clearance requirements (squared euclidean)
 _MIN_CLEAR2 = 64
@@ -26,10 +27,6 @@ _MIN_CLEAR2 = 64
 
 # ---------------------------------------------------------------------------
 # 2D exact helpers
-
-
-def orient2(a, b, c):
-    return sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
 def seg2_properly_intersect(a, b, c, d):

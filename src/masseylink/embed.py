@@ -21,9 +21,9 @@ horizontal polygons of different surfaces are never coplanar.
 from dataclasses import dataclass
 
 from . import plgeom
-from .drawing import draw_diagram, orient2, point_in_polygon, polygon_area2
+from .drawing import draw_diagram, point_in_polygon, polygon_area2
 from .errors import NotGeneric, TubeTooLarge
-from .plgeom import PLCurve, PLSurface, v_add, v_cross, v_sub
+from .plgeom import PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_sub
 from .rational import Q
 
 
@@ -432,7 +432,9 @@ def _wall_and_polygon(rim, level):
     if area == 0:
         raise NotGeneric("degenerate circle footprint")
     orient = 1 if area > 0 else -1
-    for (i0, i1, i2) in _ear_clip(poly2, orient):
+    # the clip decides on orientation signs alone, which the integer form
+    # over one common denominator keeps
+    for (i0, i1, i2) in _ear_clip(lift(poly2)[1], orient):
         a, b, c = poly2[i0], poly2[i1], poly2[i2]
         tris.append(((a[0], a[1], level), (b[0], b[1], level), (c[0], c[1], level)))
         tags.append("disk")

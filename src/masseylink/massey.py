@@ -12,7 +12,7 @@ meridian or longitude twists that the vanishing-linking hypothesis makes
 invisible.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .embed import build_embedding, meridian, pushoff_cycle, pushoff_points
 from .errors import MasseyUndefined, NotGeneric
@@ -26,6 +26,7 @@ class MasseyResult:
     term_first: int
     term_second: int
     trace_refs: dict
+    embedding: object = field(compare=False, repr=False)
 
     @property
     def value(self):
@@ -96,19 +97,23 @@ def massey3(e_or_diagram, ordering, grid_scale=1, perturb_index=0):
     """Third-order linking number of three components in the given order.
 
     Accepts a LinkDiagram (embedded on demand) or a prebuilt EmbeddedLink.
-    On an exact degeneracy the embedding is rebuilt once with the next
-    perturbation index before giving up.
+    On an exact degeneracy, in building the embedding or in measuring on
+    it, the embedding is rebuilt once with the next perturbation index
+    before giving up.  The result carries the embedding it measured.
     """
+    ordering = tuple(ordering)
     e = e_or_diagram
-    if not hasattr(e, "curves"):
-        e = build_embedding(e, grid_scale=grid_scale, perturb_index=perturb_index)
+    if hasattr(e, "curves"):
+        d, grid_scale, perturb_index = e.diagram, e.grid_scale, e.perturb_index
+    else:
+        d, e = e, None
     try:
-        return _massey3_on(e, tuple(ordering))
+        if e is None:
+            e = build_embedding(d, grid_scale=grid_scale, perturb_index=perturb_index)
+        return _massey3_on(e, ordering)
     except NotGeneric:
-        e2 = build_embedding(
-            e.diagram, grid_scale=e.grid_scale, perturb_index=e.perturb_index + 1
-        )
-        return _massey3_on(e2, tuple(ordering))
+        e = build_embedding(d, grid_scale=grid_scale, perturb_index=perturb_index + 1)
+        return _massey3_on(e, ordering)
 
 
 def _massey3_on(e, ordering):
@@ -123,6 +128,7 @@ def _massey3_on(e, ordering):
         term_first=t1,
         term_second=t2,
         trace_refs={(j, k): db_jk, (i, j): db_ij},
+        embedding=e,
     )
 
 
@@ -218,17 +224,12 @@ def massey4(e_or_diagram, ordering, provider=None, grid_scale=1):
         (k, l): trace_derived_boundary(e, k, l),
     }
     provider = provider or (lambda key: None)
-
-    def surface_for(key):
-        s = provider(tuple(key))
-        return s
-
     summands = []
     # summand 1: tube(i) . F_i . C_jkl
     if _boundary_empty(boundaries[(j, k)]) and _boundary_empty(boundaries[(k, l)]):
         summands.append(0)
     else:
-        C_jkl = surface_for((j, k, l))
+        C_jkl = provider((j, k, l))
         if C_jkl is None:
             return FourthOrderPlan(
                 ordering, boundaries, _SCHEMA, "unsupported",
@@ -244,7 +245,7 @@ def massey4(e_or_diagram, ordering, provider=None, grid_scale=1):
     if _boundary_empty(boundaries[(i, j)]) or _boundary_empty(boundaries[(k, l)]):
         summands.append(0)
     else:
-        C_kl = surface_for((k, l))
+        C_kl = provider((k, l))
         if C_kl is None:
             return FourthOrderPlan(
                 ordering, boundaries, _SCHEMA, "unsupported",
@@ -256,7 +257,7 @@ def massey4(e_or_diagram, ordering, provider=None, grid_scale=1):
     if _boundary_empty(boundaries[(i, j)]) and _boundary_empty(boundaries[(j, k)]):
         summands.append(0)
     else:
-        C_ijk = surface_for((i, j, k))
+        C_ijk = provider((i, j, k))
         if C_ijk is None:
             return FourthOrderPlan(
                 ordering, boundaries, _SCHEMA, "unsupported",

@@ -4,6 +4,7 @@ Points are plain tuples of rationals.  Every predicate is exact: there
 are no tolerances anywhere, degeneracies are reported (NotGeneric) or
 returned as explicit result kinds, never absorbed.  Callers that need a
 degeneracy resolved are expected to perturb their input and retry.
+The triangle kernel decides every sign on integers (see "integer forms").
 
 Intersection results are tagged tuples:
   ("empty",)
@@ -13,6 +14,8 @@ Intersection results are tagged tuples:
 """
 
 import json
+from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +77,100 @@ def plane_side(tri, p):
 
 
 # ---------------------------------------------------------------------------
+# integer forms
+#
+# Every sign test of the triangle kernel runs on Python ints.  A set of
+# rational points is lifted to one common denominator D, the lcm of its
+# coordinate denominators, and a pair of triangles is brought to
+# lcm(D1, D2) by integer multiplication.  A constructed point is carried
+# as a homogeneous hit (X, W, r): the integer vector X and weight W > 0
+# stand for X / (W * D), and r is the rational point itself when the hit
+# is an input vertex.  Rationals are built only for returned points, so
+# each result is the canonical rational of the direct computation.
+
+
+class IntTriangle(NamedTuple):
+    """A rational triangle as integer vertices over one denominator."""
+
+    den: int
+    verts: tuple    # three int 3-tuples: the vertices times den
+    tri: tuple      # the rational vertices
+
+
+def lift(points):
+    """(D, integer points): D is the lcm of every coordinate denominator."""
+    D = lcm(*(c.denominator for p in points for c in p))
+    return D, tuple(
+        tuple(c.numerator * (D // c.denominator) for c in p) for p in points
+    )
+
+
+def int_triangle(tri):
+    D, verts = lift(tri)
+    return IntTriangle(D, verts, tuple(tri))
+
+
+def _common(D1, P1, D2, P2):
+    """Two lifted point tuples brought to the denominator lcm(D1, D2)."""
+    if D1 == D2:
+        return D1, P1, P2
+    g = gcd(D1, D2)
+    s1, s2 = D2 // g, D1 // g
+    return (
+        D1 * s1,
+        tuple((x * s1, y * s1, z * s1) for x, y, z in P1),
+        tuple((x * s2, y * s2, z * s2) for x, y, z in P2),
+    )
+
+
+def _rational(hit, D):
+    X, W, r = hit
+    if r is not None:
+        return r
+    den = W * D
+    return (Q(X[0], den), Q(X[1], den), Q(X[2], den))
+
+
+def _same(h, g):
+    return v_scale(h[0], g[1]) == v_scale(g[0], h[1])
+
+
+def _hits_result(hits, D):
+    if not hits:
+        return EMPTY
+    if len(hits) == 1:
+        return ("point", _rational(hits[0], D))
+    return ("segment", (_rational(hits[0], D), _rational(hits[1], D)))
+
+
+def _plane(T):
+    """Normal n of an integer triangle and the offset n . T[0]."""
+    n = tri_normal(T)
+    return n, v_dot(n, T[0])
+
+
+def _edge_planes(T, n):
+    """Per directed edge uv: (m, m . u) with m . p >= m . u on T's side."""
+    out = []
+    for u, v in ((T[0], T[1]), (T[1], T[2]), (T[2], T[0])):
+        m = v_cross(n, v_sub(v, u))
+        out.append((m, v_dot(m, u)))
+    return out
+
+
+def _where(edges, X, W):
+    """Classify the in-plane homogeneous point X / W against a triangle."""
+    zeros = 0
+    for m, k in edges:
+        s = v_dot(m, X) - W * k
+        if s < 0:
+            return "outside"
+        if s == 0:
+            zeros += 1
+    return ("interior", "edge", "vertex", "vertex")[zeros]
+
+
+# ---------------------------------------------------------------------------
 # 2D sub-kernel (used after projecting coplanar configurations)
 
 
@@ -93,6 +190,20 @@ def _proj(p, ax):
 
 def orient2(a, b, c):
     return sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def _orient2h(a, b, c):
+    """orient2 of homogeneous points (x, y, w) with w > 0."""
+    return sign(
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def _lex_less(p, q):
+    """p < q lexicographically, for homogeneous points (x, y, w)."""
+    return (p[0] * q[2], p[1] * q[2]) < (q[0] * p[2], q[1] * p[2])
 
 
 def _seg_point_param(a, b, p):
@@ -119,20 +230,9 @@ def point_in_triangle(tri, p):
 
     Returns one of "interior", "edge", "vertex", "outside".
     """
-    a, b, c = tri
-    n = tri_normal(tri)
-    s1 = sign(v_dot(n, v_cross(v_sub(b, a), v_sub(p, a))))
-    s2 = sign(v_dot(n, v_cross(v_sub(c, b), v_sub(p, b))))
-    s3 = sign(v_dot(n, v_cross(v_sub(a, c), v_sub(p, c))))
-    ss = (s1, s2, s3)
-    if any(s < 0 for s in ss):
-        return "outside"
-    zeros = ss.count(0)
-    if zeros == 0:
-        return "interior"
-    if zeros == 1:
-        return "edge"
-    return "vertex"
+    _, (a, b, c, q) = lift(tuple(tri) + (p,))
+    T = (a, b, c)
+    return _where(_edge_planes(T, tri_normal(T)), q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,42 +241,50 @@ def point_in_triangle(tri, p):
 
 def segment_triangle(seg, tri):
     """Exact intersection of a closed segment with a closed triangle."""
-    p0, p1 = seg
-    n = tri_normal(tri)
-    d0 = v_dot(n, v_sub(p0, tri[0]))
-    d1 = v_dot(n, v_sub(p1, tri[0]))
+    D, (p0, p1, a, b, c) = lift(tuple(seg) + tuple(tri))
+    T = (a, b, c)
+    n, k = _plane(T)
+    hits = _segment_hits(
+        p0, p1, seg[0], seg[1], v_dot(n, p0) - k, v_dot(n, p1) - k,
+        T, n, _edge_planes(T, n),
+    )
+    return _hits_result(hits, D)
+
+
+def _segment_hits(p0, p1, r0, r1, d0, d1, T, n, edges):
+    """Hits of the integer segment p0 p1 (rational ends r0, r1) on the
+    integer triangle T, given the plane values d0, d1 of its ends."""
     s0, s1 = sign(d0), sign(d1)
-
     if s0 == 0 and s1 == 0:
-        return _coplanar_segment_triangle(seg, tri, n)
+        return _coplanar_segment_hits(p0, p1, r0, r1, T, n)
     if s0 == s1:
-        return EMPTY
+        return []
     if s0 == 0:
-        return _on_plane_point(p0, tri)
+        return [(p0, 1, r0)] if _where(edges, p0, 1) != "outside" else []
     if s1 == 0:
-        return _on_plane_point(p1, tri)
-    # proper crossing of the plane
-    t = Q(d0, d0 - d1)
-    x = v_lerp(p0, p1, t)
-    if point_in_triangle(tri, x) == "outside":
-        return EMPTY
-    return ("point", x)
+        return [(p1, 1, r1)] if _where(edges, p1, 1) != "outside" else []
+    X, W = _crossing(p0, p1, d0, d1)
+    if _where(edges, X, W) == "outside":
+        return []
+    return [(X, W, None)]
 
 
-def _on_plane_point(p, tri):
-    if point_in_triangle(tri, p) == "outside":
-        return EMPTY
-    return ("point", p)
+def _crossing(p0, p1, d0, d1):
+    """Homogeneous form (X, W), W > 0, of p0 + d0 / (d0 - d1) (p1 - p0),
+    where p0 p1 crosses a plane with values d0, d1 of opposite signs."""
+    X, W = v_sub(v_scale(p1, d0), v_scale(p0, d1)), d0 - d1
+    return (X, W) if W > 0 else (v_scale(X, -1), -W)
 
 
-def _coplanar_segment_triangle(seg, tri, n):
+def _coplanar_segment_hits(p0, p1, r0, r1, T, n):
     ax = _drop_axis(n)
-    a2, b2 = _proj(seg[0], ax), _proj(seg[1], ax)
-    t2 = [_proj(v, ax) for v in tri]
+    a2, b2 = _proj(p0, ax), _proj(p1, ax)
+    t2 = [_proj(v, ax) for v in T]
     if orient2(*t2) < 0:
         t2.reverse()
-    # clip the segment parameter interval against the three half-planes
-    lo, hi = Q(0), Q(1)
+    # clip the segment parameter interval against the three half-planes;
+    # parameters are fractions (numerator, positive denominator)
+    lo, hi = (0, 1), (1, 1)
     d = (b2[0] - a2[0], b2[1] - a2[1])
     for i in range(3):
         e0, e1 = t2[i], t2[(i + 1) % 3]
@@ -186,18 +294,29 @@ def _coplanar_segment_triangle(seg, tri, n):
         den = nx * d[0] + ny * d[1]
         if den == 0:
             if num < 0:
-                return EMPTY
+                return []
             continue
-        t = Q(-num, den)
         if den > 0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-        if lo > hi:
-            return EMPTY
-    if lo == hi:
-        return ("point", v_lerp(seg[0], seg[1], lo))
-    return ("segment", (v_lerp(seg[0], seg[1], lo), v_lerp(seg[0], seg[1], hi)))
+            if -num * lo[1] > lo[0] * den:
+                lo = (-num, den)
+        elif num * hi[1] < hi[0] * -den:
+            hi = (num, -den)
+        if lo[0] * hi[1] > hi[0] * lo[1]:
+            return []
+    hits = [_segment_point(p0, p1, r0, r1, lo)]
+    if lo[0] * hi[1] != hi[0] * lo[1]:
+        hits.append(_segment_point(p0, p1, r0, r1, hi))
+    return hits
+
+
+def _segment_point(p0, p1, r0, r1, t):
+    """Hit at p0 + t (p1 - p0) for the fraction t = (num, den)."""
+    num, den = t
+    if num == 0:
+        return (p0, 1, r0)
+    if num == den:
+        return (p1, 1, r1)
+    return (v_add(v_scale(p0, den - num), v_scale(p1, num)), den, None)
 
 
 # ---------------------------------------------------------------------------
@@ -205,109 +324,140 @@ def _coplanar_segment_triangle(seg, tri, n):
 
 
 def triangle_triangle(t1, t2):
-    """Exact intersection of two closed triangles."""
-    n1 = tri_normal(t1)
-    n2 = tri_normal(t2)
-    d2 = [sign(v_dot(n1, v_sub(v, t1[0]))) for v in t2]
-    if all(s > 0 for s in d2) or all(s < 0 for s in d2):
-        return EMPTY
-    d1 = [sign(v_dot(n2, v_sub(v, t2[0]))) for v in t1]
-    if all(s > 0 for s in d1) or all(s < 0 for s in d1):
-        return EMPTY
-    if all(s == 0 for s in d2):
-        return _coplanar_triangle_triangle(t1, t2, n1)
+    """Exact intersection of two closed triangles.
 
-    pts = []
+    Each argument is a rational vertex triple or its IntTriangle; a
+    PLSurface keeps the latter for every triangle in ``lifted``.
+    """
+    D1, A, R1 = t1 if isinstance(t1, IntTriangle) else int_triangle(t1)
+    D2, B, R2 = t2 if isinstance(t2, IntTriangle) else int_triangle(t2)
+    D, A, B = _common(D1, A, D2, B)
+    n1, k1 = _plane(A)
+    n2, k2 = _plane(B)
+    d2 = [v_dot(n1, v) - k1 for v in B]
+    if all(d > 0 for d in d2) or all(d < 0 for d in d2):
+        return EMPTY
+    d1 = [v_dot(n2, v) - k2 for v in A]
+    if all(d > 0 for d in d1) or all(d < 0 for d in d1):
+        return EMPTY
+    if all(d == 0 for d in d2):
+        return _coplanar_triangle_triangle(A, B, R1, n1, D)
+
+    e1, e2 = _edge_planes(A, n1), _edge_planes(B, n2)
+    hits = []
     for i in range(3):
-        for (ta, tb) in ((t1, t2), (t2, t1)):
-            r = segment_triangle((ta[i], ta[(i + 1) % 3]), tb)
-            if r[0] == "point":
-                pts.append(r[1])
-            elif r[0] == "segment":
-                pts.extend(r[1])
-    if not pts:
+        j = (i + 1) % 3
+        hits += _segment_hits(A[i], A[j], R1[i], R1[j], d1[i], d1[j], B, n2, e2)
+        hits += _segment_hits(B[i], B[j], R2[i], R2[j], d2[i], d2[j], A, n1, e1)
+    if not hits:
         return EMPTY
     # all hits lie on the common line; order them along it
     axis = v_cross(n1, n2)
     if axis == (0, 0, 0):
         # parallel planes but contact detected: only possible when an edge
         # lies in the other plane; order along that edge instead
-        axis = v_sub(pts[-1], pts[0])
+        (X0, W0, _), (X1, W1, _) = hits[0], hits[-1]
+        axis = v_sub(v_scale(X1, W0), v_scale(X0, W1))
         if axis == (0, 0, 0):
-            return ("point", pts[0])
-    keyed = sorted((v_dot(axis, p), p) for p in pts)
-    lo, hi = keyed[0], keyed[-1]
-    if lo[1] == hi[1]:
-        return ("point", lo[1])
-    return ("segment", (lo[1], hi[1]))
+            return ("point", _rational(hits[0], D))
+    lo = hi = hits[0]
+    for h in hits[1:]:
+        if _before(axis, h, lo):
+            lo = h
+        if not _before(axis, h, hi):
+            hi = h
+    if _same(lo, hi):
+        return ("point", _rational(lo, D))
+    return ("segment", (_rational(lo, D), _rational(hi, D)))
 
 
-def _coplanar_triangle_triangle(t1, t2, n):
+def _before(axis, h, g):
+    """(axis . h, h) < (axis . g, g) lexicographically, for two hits."""
+    (X, W, _), (Y, V, _) = h, g
+    a, b = v_dot(axis, X) * V, v_dot(axis, Y) * W
+    if a != b:
+        return a < b
+    return v_scale(X, V) < v_scale(Y, W)
+
+
+def _coplanar_triangle_triangle(A, B, R1, n, D):
     ax = _drop_axis(n)
-    p1 = [_proj(v, ax) for v in t1]
-    p2 = [_proj(v, ax) for v in t2]
-    lift = {pp: v for pp, v in zip(p1, t1)}
+    p2 = [_proj(v, ax) for v in B]
     if orient2(*p2) < 0:
-        p2 = list(reversed(p2))
-    poly = p1 if orient2(*p1) > 0 else list(reversed(p1))
-    # Sutherland-Hodgman clip of t1 by t2, exact
+        p2.reverse()
+    # Sutherland-Hodgman clip of t1 by t2 on homogeneous points
+    # (x, y, w, r), w > 0, r the rational vertex of t1 or None
+    poly = [_proj(v, ax) + (1, r) for v, r in zip(A, R1)]
+    if orient2(*poly) <= 0:
+        poly.reverse()
     for i in range(3):
         e0, e1 = p2[i], p2[(i + 1) % 3]
+        ex, ey = e1[0] - e0[0], e1[1] - e0[1]
+        # w * (cross product behind orient2(e0, e1, p)), linear in p
+        side = [ex * (p[1] - e0[1] * p[2]) - ey * (p[0] - e0[0] * p[2]) for p in poly]
         out = []
         m = len(poly)
         for j in range(m):
             cur, nxt = poly[j], poly[(j + 1) % m]
-            sc = orient2(e0, e1, cur)
-            sn = orient2(e0, e1, nxt)
+            sc, sn = side[j], side[(j + 1) % m]
             if sc >= 0:
                 out.append(cur)
-            if sc * sn < 0:
-                # exact edge crossing
-                nx, ny = e1[1] - e0[1], e0[0] - e1[0]
-                num = nx * (cur[0] - e0[0]) + ny * (cur[1] - e0[1])
-                den = nx * (nxt[0] - cur[0]) + ny * (nxt[1] - cur[1])
-                t = Q(-num, den)
-                out.append(
-                    (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-                )
+            if sc < 0 < sn or sn < 0 < sc:
+                # exact edge crossing: the zero of the side form on cur nxt
+                x, y, w = (sn * c - sc * q for c, q in zip(cur[:3], nxt[:3]))
+                out.append((x, y, w, None) if w > 0 else (-x, -y, -w, None))
         poly = out
         if not poly:
             return EMPTY
     uniq = []
     for p in poly:
-        if p not in uniq:
+        if not any(p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
+                   for q in uniq):
             uniq.append(p)
-    lifted = [_unproject(p, ax, t1, n) for p in uniq]
-    if len(uniq) == 1:
-        return ("point", lifted[0])
-    if len(uniq) == 2:
-        return ("segment", (lifted[0], lifted[1]))
-    # check for zero area (collinear ring)
-    if all(orient2(uniq[0], uniq[i], uniq[i + 1]) == 0 for i in range(1, len(uniq) - 1)):
-        keyed = sorted(uniq)
-        return ("segment", (_unproject(keyed[0], ax, t1, n), _unproject(keyed[-1], ax, t1, n)))
-    return ("polygon", lifted)
-
-
-def _unproject(p2, ax, tri, n):
-    # recover the dropped coordinate from the plane equation
     keep = [i for i in range(3) if i != ax]
-    rhs = v_dot(n, tri[0]) - n[keep[0]] * p2[0] - n[keep[1]] * p2[1]
-    missing = Q(rhs, n[ax])
-    out = [Q(0)] * 3
-    out[keep[0]], out[keep[1]], out[ax] = p2[0], p2[1], missing
-    return tuple(out)
+    k = v_dot(n, A[0])
+
+    def unproject(p):
+        # recover the dropped coordinate from the plane equation
+        x, y, w, r = p
+        if r is not None:
+            return r
+        out = [None] * 3
+        out[keep[0]], out[keep[1]] = Q(x, w * D), Q(y, w * D)
+        out[ax] = Q(k * w - n[keep[0]] * x - n[keep[1]] * y, n[ax] * w * D)
+        return tuple(out)
+
+    if len(uniq) == 1:
+        return ("point", unproject(uniq[0]))
+    if len(uniq) == 2:
+        return ("segment", (unproject(uniq[0]), unproject(uniq[1])))
+    # check for zero area (collinear ring)
+    if all(_orient2h(uniq[0], uniq[i], uniq[i + 1]) == 0 for i in range(1, len(uniq) - 1)):
+        lo = hi = uniq[0]
+        for p in uniq[1:]:
+            if _lex_less(p, lo):
+                lo = p
+            if _lex_less(hi, p):
+                hi = p
+        return ("segment", (unproject(lo), unproject(hi)))
+    return ("polygon", [unproject(p) for p in uniq])
 
 
 # ---------------------------------------------------------------------------
 # curves and surfaces
 
 
+def _qvertex(v):
+    # rational coordinates are kept, not copied, so curves and surfaces
+    # built from shared points share their coordinate objects
+    return tuple(c if type(c) is Q else Q(c) for c in v)
+
+
 class PLCurve:
     """Oriented polyline; closed curves do not repeat the first vertex."""
 
     def __init__(self, vertices, closed=True):
-        self.vertices = [tuple(Q(c) for c in v) for v in vertices]
+        self.vertices = [_qvertex(v) for v in vertices]
         self.closed = closed
         if closed and len(self.vertices) < 3:
             raise ValueError("closed curve needs at least 3 vertices")
@@ -385,11 +535,13 @@ class PLSurface:
 
     Triangles are ordered vertex triples; the winding defines the
     orientation.  Interior edges must be shared by exactly two triangles
-    with opposite induced directions.
+    with opposite induced directions.  ``lifted`` holds the IntTriangle of
+    each triangle, made once here for the exact kernel.
     """
 
     def __init__(self, triangles):
-        self.triangles = [tuple(tuple(Q(c) for c in v) for v in t) for t in triangles]
+        self.triangles = [tuple(_qvertex(v) for v in t) for t in triangles]
+        self.lifted = [int_triangle(t) for t in self.triangles]
 
     def __len__(self):
         return len(self.triangles)
@@ -443,15 +595,20 @@ class PLSurface:
         contact raises NotGeneric.
         """
         idx = BoxIndex([t for t in self.triangles])
+        lifted = self.lifted
         for i, t1 in enumerate(self.triangles):
             for j in idx.query(_bbox(t1)):
                 if j <= i:
                     continue
-                t2 = self.triangles[j]
-                shared = set(t1) & set(t2)
-                r = triangle_triangle(t1, t2)
+                r = triangle_triangle(lifted[i], lifted[j])
                 if r[0] == "empty":
                     continue
+                # distinct common vertices, compared without hashing
+                t2 = self.triangles[j]
+                shared = []
+                for v in t1:
+                    if v in t2 and v not in shared:
+                        shared.append(v)
                 if r[0] == "point" and len(shared) >= 1 and r[1] in shared:
                     continue
                 if r[0] == "segment" and len(shared) == 2:
@@ -510,30 +667,30 @@ class BoxIndex:
 def _segment_crossings(seg, surface, index):
     """Yield (t, point, sign, tri_index) for transversal pierces of one
     segment."""
-    p0, p1 = seg
-    for ti in index.query(_bbox([p0, p1])):
-        tri = surface.triangles[ti]
-        n = tri_normal(tri)
-        d0 = v_dot(n, v_sub(p0, tri[0]))
-        d1 = v_dot(n, v_sub(p1, tri[0]))
+    Ds, S = lift(seg)
+    for ti in index.query(_bbox(seg)):
+        Dt, T, _ = surface.lifted[ti]
+        D, (p0, p1), T = _common(Ds, S, Dt, T)
+        n, k = _plane(T)
+        d0, d1 = v_dot(n, p0) - k, v_dot(n, p1) - k
         s0, s1 = sign(d0), sign(d1)
         if s0 == 0 or s1 == 0:
             # an endpoint lies on the plane: harmless when outside the
             # triangle, degenerate when touching it
+            edges = _edge_planes(T, n)
             for p, s in ((p0, s0), (p1, s1)):
-                if s == 0 and point_in_triangle(tri, p) != "outside":
+                if s == 0 and _where(edges, p, 1) != "outside":
                     raise NotGeneric("curve vertex on surface")
             continue
         if s0 == s1:
             continue
-        t = Q(d0, d0 - d1)
-        x = v_lerp(p0, p1, t)
-        where = point_in_triangle(tri, x)
+        X, W = _crossing(p0, p1, d0, d1)
+        where = _where(_edge_planes(T, n), X, W)
         if where == "outside":
             continue
         if where != "interior":
             raise NotGeneric("curve crosses a triangle edge of the surface")
-        yield t, x, (1 if s0 < 0 else -1), ti
+        yield Q(d0, d0 - d1), _rational((X, W, None), D), (1 if s0 < 0 else -1), ti
 
 
 def curve_surface_crossings(curve, surface, index=None):

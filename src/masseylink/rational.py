@@ -1,19 +1,15 @@
 """Exact rational scalars used by every geometric module.
 
-All geometry in this package is done over Q.  gmpy2.mpq is used when
-available (it is several times faster than fractions.Fraction); the
-stdlib Fraction is a drop-in fallback.  Nothing downstream may rely on
-which backend is active.
+All geometry in this package is done over Q, the stdlib Fraction.  The
+hot predicates of ``plgeom`` lift their inputs to integers over one
+common denominator and build rationals only for the points they return.
 """
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 
 def qstr(x):
-    """Canonical string form of a rational, stable across backends."""
+    """Canonical string form of a rational."""
     x = Q(x)
     n, d = x.numerator, x.denominator
     if d == 1:

@@ -88,8 +88,7 @@ def surface_intersection(F_a, F_b, pair=(0, 0), index_b=None):
     raw = {}
     for ia, ta in enumerate(F_a.triangles):
         for ib in index_b.query(_bbox(list(ta))):
-            tb = F_b.triangles[ib]
-            r = triangle_triangle(ta, tb)
+            r = triangle_triangle(F_a.lifted[ia], F_b.lifted[ib])
             if r[0] == "empty":
                 continue
             if r[0] == "polygon":
@@ -111,8 +110,9 @@ def surface_intersection(F_a, F_b, pair=(0, 0), index_b=None):
             continue  # point contacts are re-validated at stitch time
         dirs = set()
         for ia, ib, _seg in wits:
-            na = tri_normal(F_a.triangles[ia])
-            nb = tri_normal(F_b.triangles[ib])
+            # integer normals: positive multiples of the rational ones
+            na = tri_normal(F_a.lifted[ia].verts)
+            nb = tri_normal(F_b.lifted[ib].verts)
             s = sign(v_dot(v_cross(na, nb), v_sub(key[1], key[0])))
             if s == 0:
                 raise NotGeneric("tangential surface contact")
@@ -252,12 +252,11 @@ def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0), index_a=None, index_b=None):
 
     def next_plus(pos):
         """First +1 pierce with an unused arc, strictly after pos (cyclic)."""
-        order = sorted(a_positions)
         k0 = 0
-        while k0 < len(order) and order[k0] <= pos:
+        while k0 < len(a_positions) and a_positions[k0] <= pos:
             k0 += 1
-        for step in range(len(order)):
-            q = order[(k0 + step) % len(order)]
+        for step in range(len(a_positions)):
+            q = a_positions[(k0 + step) % len(a_positions)]
             pk = out_arc.get(q)
             if pk is not None and pk not in used:
                 return q

@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from masseylink import embed
 from masseylink.cli import main
+from masseylink.errors import NotGeneric
+from masseylink.fixtures import load_fixture
+from masseylink.massey import massey3
 
 
 def _run(capsys, *argv):
@@ -115,3 +120,60 @@ def test_fixture_root_override(tmp_path, capsys, monkeypatch):
     assert doc["lk"] == [[0]]
     code, _ = _run(capsys, "lk", "--fixture", "borromean")
     assert code == 1  # bundled names are hidden behind the override
+
+
+# sha256 of `massey3 --fixture borromean --order 1,2,3` with both dumps,
+# recorded from the direct rational kernel: the integer kernel must not
+# move a single coordinate
+GOLDEN_BORROMEAN = {
+    "stdout": "85f7845671b8726366c470c38c63f905d62e8cb2d19d29d48dd2b95a1e342212",
+    "geometry": "3945d116e70f8e736b9ed1e7e8d9657a35cb471ffd8975c726ad09756f4b4104",
+    "trace": "96b0c74c4aa365ebbe7f1426842fa8472c47260b652e002850a1912197d7a511",
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _massey3_dumps(capsys, tmp_path, tag, *extra):
+    geo, tr = tmp_path / (tag + "-geo.json"), tmp_path / (tag + "-trace.json")
+    code = main(["massey3", "--fixture", "borromean", "--order", "1,2,3",
+                 "--dump-geometry", str(geo), "--dump-trace", str(tr), *extra])
+    out = capsys.readouterr().out
+    return code, out, geo.read_bytes(), tr.read_bytes()
+
+
+def test_massey3_borromean_golden_dumps(tmp_path, capsys):
+    code, out, geo, tr = _massey3_dumps(capsys, tmp_path, "golden")
+    assert code == 0
+    assert {
+        "stdout": _sha(out.encode()), "geometry": _sha(geo), "trace": _sha(tr),
+    } == GOLDEN_BORROMEAN
+
+
+def test_massey3_retries_first_build_and_dumps_it(tmp_path, capsys, monkeypatch):
+    real = embed.verify_embedding
+    seen = []
+
+    def flaky(e):
+        seen.append(e.perturb_index)
+        if len(seen) == 1:
+            raise NotGeneric("forced degeneracy in the first build")
+        return real(e)
+
+    monkeypatch.setattr(embed, "verify_embedding", flaky)
+    r = massey3(load_fixture("borromean"), (1, 2, 3))
+    assert seen == [0, 1]
+    assert r.embedding.perturb_index == 1 and r.value == 1
+
+    seen.clear()
+    code, out, geo, tr = _massey3_dumps(capsys, tmp_path, "retry")
+    assert code == 0 and json.loads(out)["value"] == 1
+    assert seen == [0, 1]  # one failed build, one measured: no extra build
+    monkeypatch.undo()
+    # the dump is the embedding that was measured, the one at index 1
+    code, out1, geo1, tr1 = _massey3_dumps(capsys, tmp_path, "seed1", "--seed", "1")
+    assert code == 0
+    assert (out, geo, tr) == (out1, geo1, tr1)
+    assert _sha(geo) != GOLDEN_BORROMEAN["geometry"]

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +11,13 @@ from masseylink.plgeom import (
     PLCurve,
     PLSurface,
     curve_surface_count,
+    int_triangle,
     orient3,
+    point_in_triangle,
     qpoint,
     segment_triangle,
     triangle_triangle,
+    v_add,
     v_cross,
     v_sub,
 )
@@ -211,3 +216,298 @@ def test_box_index_padding_never_misses():
 def test_boundary_curves_of_disk():
     (loop,) = _disk().boundary_curves()
     assert loop.closed and len(loop) == 4
+
+
+# -- integer kernel against the rational reference ----------------------------
+#
+# The reference below is the direct rational kernel the integer one
+# replaced, kept verbatim in substance: every predicate and constructed
+# point in Fraction arithmetic.  The integer kernel must return the same
+# result kind and the same exact points, in the same order.
+
+
+def _ref_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _ref_normal(tri):
+    a, b, c = tri
+    return v_cross(v_sub(b, a), v_sub(c, a))
+
+
+def _ref_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _ref_lerp(a, b, t):
+    return tuple(x + (y - x) * t for x, y in zip(a, b))
+
+
+def _ref_drop_axis(n):
+    ax, best = 0, abs(n[0])
+    for i in (1, 2):
+        if abs(n[i]) > best:
+            ax, best = i, abs(n[i])
+    return ax
+
+
+def _ref_proj(p, ax):
+    return tuple(p[i] for i in range(3) if i != ax)
+
+
+def _ref_orient2(a, b, c):
+    return _ref_sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def _ref_point_in_triangle(tri, p):
+    a, b, c = tri
+    n = _ref_normal(tri)
+    ss = (
+        _ref_sign(_ref_dot(n, v_cross(v_sub(b, a), v_sub(p, a)))),
+        _ref_sign(_ref_dot(n, v_cross(v_sub(c, b), v_sub(p, b)))),
+        _ref_sign(_ref_dot(n, v_cross(v_sub(a, c), v_sub(p, c)))),
+    )
+    if any(s < 0 for s in ss):
+        return "outside"
+    return ("interior", "edge", "vertex", "vertex")[ss.count(0)]
+
+
+def _ref_segment_triangle(seg, tri):
+    p0, p1 = seg
+    n = _ref_normal(tri)
+    d0 = _ref_dot(n, v_sub(p0, tri[0]))
+    d1 = _ref_dot(n, v_sub(p1, tri[0]))
+    s0, s1 = _ref_sign(d0), _ref_sign(d1)
+    if s0 == 0 and s1 == 0:
+        return _ref_coplanar_segment_triangle(seg, tri, n)
+    if s0 == s1:
+        return ("empty",)
+    for p, s in ((p0, s0), (p1, s1)):
+        if s == 0:
+            if _ref_point_in_triangle(tri, p) == "outside":
+                return ("empty",)
+            return ("point", p)
+    x = _ref_lerp(p0, p1, Fraction(d0) / (d0 - d1))
+    if _ref_point_in_triangle(tri, x) == "outside":
+        return ("empty",)
+    return ("point", x)
+
+
+def _ref_coplanar_segment_triangle(seg, tri, n):
+    ax = _ref_drop_axis(n)
+    a2, b2 = _ref_proj(seg[0], ax), _ref_proj(seg[1], ax)
+    t2 = [_ref_proj(v, ax) for v in tri]
+    if _ref_orient2(*t2) < 0:
+        t2.reverse()
+    lo, hi = Fraction(0), Fraction(1)
+    d = (b2[0] - a2[0], b2[1] - a2[1])
+    for i in range(3):
+        e0, e1 = t2[i], t2[(i + 1) % 3]
+        nx, ny = e0[1] - e1[1], e1[0] - e0[0]
+        num = nx * (a2[0] - e0[0]) + ny * (a2[1] - e0[1])
+        den = nx * d[0] + ny * d[1]
+        if den == 0:
+            if num < 0:
+                return ("empty",)
+            continue
+        t = Fraction(-num) / den
+        if den > 0:
+            lo = max(lo, t)
+        else:
+            hi = min(hi, t)
+        if lo > hi:
+            return ("empty",)
+    if lo == hi:
+        return ("point", _ref_lerp(seg[0], seg[1], lo))
+    return ("segment", (_ref_lerp(seg[0], seg[1], lo), _ref_lerp(seg[0], seg[1], hi)))
+
+
+def _ref_triangle_triangle(t1, t2):
+    n1, n2 = _ref_normal(t1), _ref_normal(t2)
+    d2 = [_ref_sign(_ref_dot(n1, v_sub(v, t1[0]))) for v in t2]
+    if all(s > 0 for s in d2) or all(s < 0 for s in d2):
+        return ("empty",)
+    d1 = [_ref_sign(_ref_dot(n2, v_sub(v, t2[0]))) for v in t1]
+    if all(s > 0 for s in d1) or all(s < 0 for s in d1):
+        return ("empty",)
+    if all(s == 0 for s in d2):
+        return _ref_coplanar_triangle_triangle(t1, t2, n1)
+    pts = []
+    for i in range(3):
+        for ta, tb in ((t1, t2), (t2, t1)):
+            r = _ref_segment_triangle((ta[i], ta[(i + 1) % 3]), tb)
+            if r[0] == "point":
+                pts.append(r[1])
+            elif r[0] == "segment":
+                pts.extend(r[1])
+    if not pts:
+        return ("empty",)
+    axis = v_cross(n1, n2)
+    if axis == (0, 0, 0):
+        axis = v_sub(pts[-1], pts[0])
+        if axis == (0, 0, 0):
+            return ("point", pts[0])
+    keyed = sorted((_ref_dot(axis, p), p) for p in pts)
+    lo, hi = keyed[0], keyed[-1]
+    if lo[1] == hi[1]:
+        return ("point", lo[1])
+    return ("segment", (lo[1], hi[1]))
+
+
+def _ref_coplanar_triangle_triangle(t1, t2, n):
+    ax = _ref_drop_axis(n)
+    p1 = [_ref_proj(v, ax) for v in t1]
+    p2 = [_ref_proj(v, ax) for v in t2]
+    if _ref_orient2(*p2) < 0:
+        p2 = list(reversed(p2))
+    poly = p1 if _ref_orient2(*p1) > 0 else list(reversed(p1))
+    for i in range(3):
+        e0, e1 = p2[i], p2[(i + 1) % 3]
+        out = []
+        m = len(poly)
+        for j in range(m):
+            cur, nxt = poly[j], poly[(j + 1) % m]
+            sc = _ref_orient2(e0, e1, cur)
+            sn = _ref_orient2(e0, e1, nxt)
+            if sc >= 0:
+                out.append(cur)
+            if sc * sn < 0:
+                nx, ny = e1[1] - e0[1], e0[0] - e1[0]
+                num = nx * (cur[0] - e0[0]) + ny * (cur[1] - e0[1])
+                den = nx * (nxt[0] - cur[0]) + ny * (nxt[1] - cur[1])
+                t = Fraction(-num) / den
+                out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+        poly = out
+        if not poly:
+            return ("empty",)
+    uniq = []
+    for p in poly:
+        if p not in uniq:
+            uniq.append(p)
+
+    def unproject(p2d):
+        keep = [i for i in range(3) if i != ax]
+        rhs = _ref_dot(n, t1[0]) - n[keep[0]] * p2d[0] - n[keep[1]] * p2d[1]
+        out = [Fraction(0)] * 3
+        out[keep[0]], out[keep[1]], out[ax] = p2d[0], p2d[1], Fraction(rhs) / n[ax]
+        return tuple(out)
+
+    lifted = [unproject(p) for p in uniq]
+    if len(uniq) == 1:
+        return ("point", lifted[0])
+    if len(uniq) == 2:
+        return ("segment", (lifted[0], lifted[1]))
+    if all(_ref_orient2(uniq[0], uniq[i], uniq[i + 1]) == 0 for i in range(1, len(uniq) - 1)):
+        keyed = sorted(uniq)
+        return ("segment", (unproject(keyed[0]), unproject(keyed[-1])))
+    return ("polygon", lifted)
+
+
+_DENOMS = (1, 2, 3, 4, 7, 12, 2 ** 20, 3 ** 13, 2 ** 38 + 5)
+
+
+def _rq(rng, span=6):
+    d = rng.choice(_DENOMS)
+    return Fraction(rng.randint(-span * d, span * d), d)
+
+
+def _rp(rng):
+    return (_rq(rng), _rq(rng), _rq(rng))
+
+
+def _on(rng, a, b):
+    """A rational point of the closed segment ab, ends included."""
+    t = rng.choice((Fraction(0), Fraction(1), Fraction(rng.randint(1, 6), 7)))
+    return _ref_lerp(a, b, t)
+
+
+def _in_plane(rng, tri):
+    """A rational point of tri's plane, inside or outside tri."""
+    a, b, c = tri
+    u, v = _rq(rng, 2), _rq(rng, 2)
+    return tuple(x + u * (y - x) + v * (z - x) for x, y, z in zip(a, b, c))
+
+
+def _nondegenerate(tri):
+    return _ref_normal(tri) != (0, 0, 0)
+
+
+def _pair(rng, kind):
+    t1 = (_rp(rng), _rp(rng), _rp(rng))
+    a, b, c = t1
+    if kind == "random":
+        t2 = (_rp(rng), _rp(rng), _rp(rng))
+    elif kind == "shared_vertex":
+        t2 = (a, _rp(rng), _rp(rng))
+    elif kind == "shared_edge":
+        far = _in_plane(rng, t1) if rng.random() < 0.5 else _rp(rng)
+        t2 = (b, a, far)
+    elif kind == "coplanar":
+        t2 = (_in_plane(rng, t1), _in_plane(rng, t1), _in_plane(rng, t1))
+    elif kind == "edge_touch":
+        t2 = (_on(rng, a, b), _rp(rng), _rp(rng))
+    else:  # parallel planes: a translate of an in-plane triangle
+        off = _rp(rng) if rng.random() < 0.7 else (0, 0, 0)
+        t2 = tuple(v_add(_in_plane(rng, t1), off) for _ in range(3))
+    if rng.random() < 0.5:
+        t1, t2 = t2, t1
+    return t1, t2
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "shared_vertex", "shared_edge", "coplanar", "edge_touch", "parallel"]
+)
+def test_triangle_triangle_matches_rational_reference(kind):
+    rng = random.Random("tri-tri-" + kind)
+    kinds = set()
+    checked = 0
+    while checked < 300:
+        t1, t2 = _pair(rng, kind)
+        if not (_nondegenerate(t1) and _nondegenerate(t2)):
+            continue
+        want = _ref_triangle_triangle(t1, t2)
+        assert triangle_triangle(t1, t2) == want, (t1, t2)
+        assert triangle_triangle(int_triangle(t1), int_triangle(t2)) == want
+        kinds.add(want[0])
+        checked += 1
+    assert len(kinds) >= 2, kinds
+
+
+def test_segment_triangle_matches_rational_reference():
+    rng = random.Random("seg-tri")
+    kinds = set()
+    for _ in range(600):
+        tri = (_rp(rng), _rp(rng), _rp(rng))
+        if not _nondegenerate(tri):
+            continue
+        a, b, c = tri
+        style = rng.randrange(4)
+        if style == 0:
+            seg = (_rp(rng), _rp(rng))
+        elif style == 1:
+            seg = (_in_plane(rng, tri), _in_plane(rng, tri))
+        elif style == 2:
+            seg = (_on(rng, a, b), _rp(rng))
+        else:
+            seg = (_in_plane(rng, tri), _rp(rng))
+        if seg[0] == seg[1]:
+            continue
+        want = _ref_segment_triangle(seg, tri)
+        assert segment_triangle(seg, tri) == want, (seg, tri)
+        p = seg[0] if style in (1, 3) else _in_plane(rng, tri)
+        assert point_in_triangle(tri, p) == _ref_point_in_triangle(tri, p)
+        kinds.add(want[0])
+    assert kinds == {"empty", "point", "segment"}
+
+
+def test_integer_forms_reproduce_rational_vertices():
+    rng = random.Random("lift")
+    tris = [(_rp(rng), _rp(rng), _rp(rng)) for _ in range(200)]
+    surf = PLSurface(tris)
+    for tri, form in zip(surf.triangles, surf.lifted):
+        D, verts, rational = form
+        assert rational == tri
+        assert D == math.lcm(*(c.denominator for v in tri for c in v))
+        assert all(isinstance(x, int) for v in verts for x in v)
+        assert tuple(tuple(Fraction(x, D) for x in v) for v in verts) == tri
+        assert form == int_triangle(tri)
