@@ -13,12 +13,12 @@ import sys
 
 from . import chains
 from .diagram import parse_gauss, parse_pd
-from .embed import build_embedding, seifert_circles
+from .embed import measured, seifert_circles
 from .errors import InputError, InternalError, MasseyLinkError, UndefinedError
 from .fixtures import fixture_names, load_fixture
 from .magnus import milnor_mu
 from .massey import massey3, massey4
-from .plgeom import geometry_json
+from .plgeom import dump_geometry
 from .rational import qstr
 from .trace import trace_derived_boundary
 
@@ -36,10 +36,16 @@ def _add_input_args(sub):
     g.add_argument("--pd", help="inline PD code, X(a,b,c,d) tuples")
     g.add_argument("--gauss", help="inline oriented Gauss code")
     g.add_argument("--input", help="path to a JSON diagram file")
+
+
+def _add_geometry_args(sub):
     sub.add_argument("--grid-scale", type=int, default=1,
                      help="integer scale applied to all coordinates")
     sub.add_argument("--seed", type=int, default=0,
-                     help="perturbation index for degenerate retries")
+                     help="perturbation index of the first build")
+
+
+def _add_dump_args(sub):
     sub.add_argument("--dump-geometry", metavar="PATH",
                      help="also write curves+surfaces as geometry JSON")
     sub.add_argument("--dump-trace", metavar="PATH",
@@ -90,17 +96,15 @@ def _loops_json(db):
     }
 
 
-def _maybe_dumps(args, e, traces=()):
+def _maybe_dumps(args, e, traces):
     if args.dump_geometry:
-        doc = geometry_json(
+        dump_geometry(
+            args.dump_geometry,
             curves=[e.curves[i] for i in sorted(e.curves)],
             surfaces=[e.surfaces[i] for i in sorted(e.surfaces)],
             labels=["component %d" % i for i in sorted(e.curves)],
         )
-        with open(args.dump_geometry, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    if args.dump_trace and traces:
+    if args.dump_trace:
         doc = {"schema_version": SCHEMA_VERSION,
                "traces": [_loops_json(db) for db in traces]}
         with open(args.dump_trace, "w") as fh:
@@ -143,9 +147,9 @@ def _cmd_seifert(args):
 def _cmd_trace(args):
     d = _load_diagram(args)
     a, b = _parse_ints(args.pair, 2)
-    e = build_embedding(d, grid_scale=args.grid_scale, perturb_index=args.seed)
-    db = trace_derived_boundary(e, a, b)
-    _maybe_dumps(args, e, traces=[db])
+    e, db = measured(d, lambda e: trace_derived_boundary(e, a, b),
+                     args.grid_scale, args.seed)
+    _maybe_dumps(args, e, [db])
     doc = {"command": "trace"}
     doc.update(_loops_json(db))
     _emit(doc)
@@ -156,7 +160,7 @@ def _cmd_massey3(args):
     d = _load_diagram(args)
     order = _parse_ints(args.order, 3)
     r = massey3(d, order, grid_scale=args.grid_scale, perturb_index=args.seed)
-    _maybe_dumps(args, r.embedding, traces=list(r.trace_refs.values()))
+    _maybe_dumps(args, r.embedding, list(r.trace_refs.values()))
     _emit(
         {
             "command": "massey3",
@@ -172,7 +176,7 @@ def _cmd_massey3(args):
 def _cmd_massey4(args):
     d = _load_diagram(args)
     order = _parse_ints(args.order, 4)
-    plan = massey4(d, order, grid_scale=args.grid_scale)
+    plan = massey4(d, order, grid_scale=args.grid_scale, perturb_index=args.seed)
     _emit(
         {
             "command": "massey4",
@@ -239,16 +243,21 @@ def build_parser():
 
     s = sub.add_parser("trace", help="derived boundary of a surface pair")
     _add_input_args(s)
+    _add_geometry_args(s)
+    _add_dump_args(s)
     s.add_argument("--pair", required=True, metavar="a,b")
     s.set_defaults(fn=_cmd_trace)
 
     s = sub.add_parser("massey3", help="third-order linking number")
     _add_input_args(s)
+    _add_geometry_args(s)
+    _add_dump_args(s)
     s.add_argument("--order", required=True, metavar="i,j,k")
     s.set_defaults(fn=_cmd_massey3)
 
     s = sub.add_parser("massey4", help="fourth-order term assembly")
     _add_input_args(s)
+    _add_geometry_args(s)
     s.add_argument("--order", required=True, metavar="i,j,k,l")
     s.set_defaults(fn=_cmd_massey4)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import plgeom
 from .drawing import draw_diagram, point_in_polygon, polygon_area2
 from .errors import NotGeneric, TubeTooLarge
-from .plgeom import PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_sub
+from .plgeom import PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_scale, v_sub
 from .rational import Q
 
 
@@ -359,11 +359,9 @@ def _in_closed_tri2(a, b, c, p, orient):
 class EmbeddedLink:
     diagram: object
     drawing: object
-    structures: dict              # component -> per-component SeifertStructure
     curves: dict                  # component -> closed PLCurve
     surfaces: dict                # component -> PLSurface
     provenance: dict              # component -> list of per-triangle tags
-    levels: dict                  # (component, circle index) -> polygon level
     tube_radius: object
     unit: object
     grid_scale: int = 1
@@ -511,7 +509,7 @@ def _tube_radius(unit, locs):
     return r
 
 
-def build_embedding(d, grid_scale=1, perturb_index=0, check=True):
+def build_embedding(d, grid_scale=1, perturb_index=0):
     """Embed the link with one Seifert surface per component."""
     drawing = draw_diagram(d, grid_scale)
     unit = drawing.scale
@@ -520,14 +518,11 @@ def build_embedding(d, grid_scale=1, perturb_index=0, check=True):
     dip = -H / 3
     m = d.n_components
 
-    structures = {}
     curves = {}
     surfaces = {}
     provenance = {}
-    levels = {}
     for i in range(1, m + 1):
         st = seifert_circles(d, component=i, drawing=drawing)
-        structures[i] = st
         zshift = Q(i * perturb_index, 4096) * unit
         maxdepth = max((c.depth for c in st.circles), default=0)
         self_sm = {b.crossing for b in st.bands}
@@ -536,7 +531,6 @@ def build_embedding(d, grid_scale=1, perturb_index=0, check=True):
         tags = []
         for c in st.circles:
             level = -H * (2 + (maxdepth - c.depth) + Q(i, m + 1)) + zshift
-            levels[(i, c.index)] = level
             rim = _rim_points(d, drawing, locs, c, dip, zshift)
             t, g = _wall_and_polygon(rim, level)
             tris.extend(t)
@@ -552,19 +546,41 @@ def build_embedding(d, grid_scale=1, perturb_index=0, check=True):
     e = EmbeddedLink(
         diagram=d,
         drawing=drawing,
-        structures=structures,
         curves=curves,
         surfaces=surfaces,
         provenance=provenance,
-        levels=levels,
         tube_radius=_tube_radius(unit, locs) if locs else unit / 8,
         unit=unit,
         grid_scale=grid_scale,
         perturb_index=perturb_index,
     )
-    if check:
-        verify_embedding(e)
+    verify_embedding(e)
     return e
+
+
+def measured(source, measure, grid_scale=1, perturb_index=0):
+    """Apply `measure` to an embedding of `source`; return (e, value).
+
+    `source` is a LinkDiagram, embedded here, or a prebuilt EmbeddedLink,
+    which is measured first and supplies the diagram, grid scale and
+    perturbation index of a rebuild.  An exact degeneracy (NotGeneric) in
+    building or in measuring triggers exactly one rebuild at the next
+    perturbation index; a second one propagates.  This is the only place
+    that retries.
+    """
+    prebuilt = isinstance(source, EmbeddedLink)
+    if prebuilt:
+        d, grid_scale, perturb_index = (
+            source.diagram, source.grid_scale, source.perturb_index)
+    else:
+        d = source
+    try:
+        e = source if prebuilt else build_embedding(
+            d, grid_scale=grid_scale, perturb_index=perturb_index)
+        return e, measure(e)
+    except NotGeneric:
+        e = build_embedding(d, grid_scale=grid_scale, perturb_index=perturb_index + 1)
+        return e, measure(e)
 
 
 def verify_embedding(e):
@@ -619,9 +635,7 @@ def _segment_frame(a, b):
 
 
 def _scaled(u, r):
-    l1 = abs(u[0]) + abs(u[1]) + abs(u[2])
-    t = Q(r, l1)
-    return (u[0] * t, u[1] * t, u[2] * t)
+    return v_scale(u, Q(r, abs(u[0]) + abs(u[1]) + abs(u[2])))
 
 
 def _ring(p, u1, u2, r):
@@ -643,8 +657,8 @@ def boundary_torus(e, i, radius=None):
     for (a, b) in segs:
         u1, u2 = _segment_frame(a, b)
         d8 = v_sub(b, a)
-        p_in = v_add(a, _scale_vec(d8, Q(1, 8)))
-        p_out = v_add(a, _scale_vec(d8, Q(7, 8)))
+        p_in = v_add(a, v_scale(d8, Q(1, 8)))
+        p_out = v_add(a, v_scale(d8, Q(7, 8)))
         rings.append(_ring(p_in, u1, u2, r))
         rings.append(_ring(p_out, u1, u2, r))
     tris = []
@@ -676,10 +690,6 @@ def boundary_torus(e, i, radius=None):
     return torus
 
 
-def _scale_vec(v, t):
-    return (v[0] * t, v[1] * t, v[2] * t)
-
-
 def _arc_interior_position(e, i):
     """A position on a long horizontal stretch of component i."""
     curve = e.curves[i]
@@ -695,7 +705,7 @@ def _arc_interior_position(e, i):
     return Q(best[1]) + Q(1, 2)
 
 
-def meridian(e, i, pos=None, radius=None, reverse=False):
+def meridian(e, i, pos=None, radius=None):
     """Small square meridian of component i with lk(K_i, meridian) = +1."""
     r = e.tube_radius if radius is None else radius
     curve = e.curves[i]
@@ -707,18 +717,12 @@ def meridian(e, i, pos=None, radius=None, reverse=False):
     u1, u2 = _segment_frame(a, b)  # u1 = left normal, u2 completes the frame
     ua, ub = _scaled(u1, r), _scaled(u2, r)
     ring = [
-        v_add(v_add(p, ua), _neg(ub)),
+        v_sub(v_add(p, ua), ub),
         v_add(v_add(p, ua), ub),
         v_add(v_sub(p, ua), ub),
         v_sub(v_sub(p, ua), ub),
     ]
-    if reverse:
-        ring.reverse()
     return PLCurve(ring, closed=True)
-
-
-def _neg(v):
-    return (-v[0], -v[1], -v[2])
 
 
 def left_offset(a, b, r):
@@ -731,17 +735,22 @@ def left_offset(a, b, r):
     return (-dy * t, dx * t, Q(0))
 
 
+def _offset_walk(out, segments, r):
+    """Append both ends of each segment, offset by its horizontal left
+    normal, to `out`, skipping repeats of the last point."""
+    for a, b in segments:
+        n = left_offset(a, b, r)
+        for p in (v_add(a, n), v_add(b, n)):
+            if not out or out[-1] != p:
+                out.append(p)
+    return out
+
+
 def pushoff_points(curve, pos0, pos1, r):
     """Open pushoff of the subarc pos0->pos1: radial joins at the ends,
     each segment offset by its horizontal left normal."""
     sub = curve.subarc(pos0, pos1)
-    out = [sub[0]]
-    for k in range(len(sub) - 1):
-        a, b = sub[k], sub[k + 1]
-        n = left_offset(a, b, r)
-        for p in (v_add(a, n), v_add(b, n)):
-            if out[-1] != p:
-                out.append(p)
+    out = _offset_walk([sub[0]], zip(sub, sub[1:]), r)
     if out[-1] != sub[-1]:
         out.append(sub[-1])
     return out
@@ -749,15 +758,7 @@ def pushoff_points(curve, pos0, pos1, r):
 
 def pushoff_cycle(curve, r):
     """Closed full-curve pushoff in the blackboard framing."""
-    vs = curve.vertices
-    n = len(vs)
-    out = []
-    for k in range(n):
-        a, b = vs[k], vs[(k + 1) % n]
-        off = left_offset(a, b, r)
-        for p in (v_add(a, off), v_add(b, off)):
-            if not out or out[-1] != p:
-                out.append(p)
+    out = _offset_walk([], curve.segments(), r)
     if out[0] == out[-1]:
         out.pop()
     return PLCurve(out, closed=True)

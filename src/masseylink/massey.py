@@ -14,7 +14,7 @@ invisible.
 
 from dataclasses import dataclass, field
 
-from .embed import build_embedding, meridian, pushoff_cycle, pushoff_points
+from .embed import measured, meridian, pushoff_cycle, pushoff_points
 from .errors import MasseyUndefined, NotGeneric
 from .plgeom import BoxIndex, PLCurve, curve_surface_count
 from .trace import trace_derived_boundary
@@ -71,6 +71,22 @@ def _along_spans(e, db, i):
     return spans
 
 
+def _pushoff_family_count(e, spans, i, surface, index):
+    """Signed count against `surface` of the blackboard pushoffs of the
+    (pos0, pos1) spans on K_i; a span with pos0 == pos1 is all of K_i."""
+    curve = e.curves[i]
+    total = 0
+    for pos0, pos1 in spans:
+        if pos0 == pos1:
+            family = pushoff_cycle(curve, e.tube_radius)
+        else:
+            family = PLCurve(
+                pushoff_points(curve, pos0, pos1, e.tube_radius), closed=False
+            )
+        total += curve_surface_count(family, surface, index)
+    return total
+
+
 def second_term(e, db, i, k, meridian_twists=0, longitude_twists=0):
     """Count against F_k of the tube restriction of the (i, j) boundary.
 
@@ -80,40 +96,24 @@ def second_term(e, db, i, k, meridian_twists=0, longitude_twists=0):
     """
     idx = e.surface_index(k)
     surf = e.surfaces[k]
-    total = 0
-    curve = e.curves[i]
-    r = e.tube_radius
-    for pos0, pos1 in _along_spans(e, db, i):
-        family = PLCurve(pushoff_points(curve, pos0, pos1, r), closed=False)
-        total += curve_surface_count(family, surf, idx)
+    # a longitude is the pushoff of one whole-curve span
+    spans = _along_spans(e, db, i) + [(0, 0)] * longitude_twists
+    total = _pushoff_family_count(e, spans, i, surf, idx)
     for _ in range(meridian_twists):
         total += curve_surface_count(meridian(e, i), surf, idx)
-    for _ in range(longitude_twists):
-        total += curve_surface_count(pushoff_cycle(curve, r), surf, idx)
     return total
 
 
-def massey3(e_or_diagram, ordering, grid_scale=1, perturb_index=0):
+def massey3(source, ordering, grid_scale=1, perturb_index=0):
     """Third-order linking number of three components in the given order.
 
-    Accepts a LinkDiagram (embedded on demand) or a prebuilt EmbeddedLink.
-    On an exact degeneracy, in building the embedding or in measuring on
-    it, the embedding is rebuilt once with the next perturbation index
-    before giving up.  The result carries the embedding it measured.
+    `source` is a LinkDiagram or a prebuilt EmbeddedLink; an exact
+    degeneracy is retried once by ``embed.measured``.  The result carries
+    the embedding it measured.
     """
     ordering = tuple(ordering)
-    e = e_or_diagram
-    if hasattr(e, "curves"):
-        d, grid_scale, perturb_index = e.diagram, e.grid_scale, e.perturb_index
-    else:
-        d, e = e, None
-    try:
-        if e is None:
-            e = build_embedding(d, grid_scale=grid_scale, perturb_index=perturb_index)
-        return _massey3_on(e, ordering)
-    except NotGeneric:
-        e = build_embedding(d, grid_scale=grid_scale, perturb_index=perturb_index + 1)
-        return _massey3_on(e, ordering)
+    return measured(source, lambda e: _massey3_on(e, ordering),
+                    grid_scale, perturb_index)[1]
 
 
 def _massey3_on(e, ordering):
@@ -186,28 +186,19 @@ def _surface_k_spans(e, surf, i):
     return spans
 
 
-def _pushoff_family_count(e, spans, i, target_surface):
-    idx = BoxIndex(target_surface.triangles)
-    curve = e.curves[i]
-    total = 0
-    for pos0, pos1 in spans:
-        if pos0 == pos1:
-            family = pushoff_cycle(curve, e.tube_radius)
-        else:
-            family = PLCurve(
-                pushoff_points(curve, pos0, pos1, e.tube_radius), closed=False
-            )
-        total += curve_surface_count(family, target_surface, idx)
-    return total
-
-
-def massey4(e_or_diagram, ordering, provider=None, grid_scale=1):
+def massey4(source, ordering, provider=None, grid_scale=1, perturb_index=0):
     """Fourth-order assembly; full computation only in degenerate cases or
-    with a provider supplying the derived spanning surfaces."""
-    e = e_or_diagram
-    if not hasattr(e, "curves"):
-        e = build_embedding(e, grid_scale=grid_scale)
+    with a provider supplying the derived spanning surfaces.
+
+    `source` is a LinkDiagram or a prebuilt EmbeddedLink; an exact
+    degeneracy is retried once by ``embed.measured``.
+    """
     ordering = tuple(ordering)
+    return measured(source, lambda e: _massey4_on(e, ordering, provider),
+                    grid_scale, perturb_index)[1]
+
+
+def _massey4_on(e, ordering, provider):
     _check_ordering(e, ordering, 4)
     i, j, k, l = ordering
     for triple in ((i, j, k), (i, j, l), (i, k, l), (j, k, l)):
@@ -252,7 +243,9 @@ def massey4(e_or_diagram, ordering, provider=None, grid_scale=1):
                 "C_%d%d spanning surface required" % (k, l), (), None,
             )
         spans = _along_spans(e, boundaries[(i, j)], i)
-        summands.append(_pushoff_family_count(e, spans, i, C_kl))
+        summands.append(
+            _pushoff_family_count(e, spans, i, C_kl, BoxIndex(C_kl.triangles))
+        )
     # summand 3: tube(i) . C_ijk . F_l
     if _boundary_empty(boundaries[(i, j)]) and _boundary_empty(boundaries[(j, k)]):
         summands.append(0)
@@ -264,7 +257,9 @@ def massey4(e_or_diagram, ordering, provider=None, grid_scale=1):
                 "C_%d%d%d spanning surface required" % (i, j, k), (), None,
             )
         spans = _surface_k_spans(e, C_ijk, i)
-        summands.append(_pushoff_family_count(e, spans, i, e.surfaces[l]))
+        summands.append(
+            _pushoff_family_count(e, spans, i, e.surfaces[l], e.surface_index(l))
+        )
 
     return FourthOrderPlan(
         ordering, boundaries, _SCHEMA, "computed", "",

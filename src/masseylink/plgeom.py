@@ -625,14 +625,14 @@ def _bbox(points):
     return (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
 
 
-_PAD = 1e-3
-
-
 class BoxIndex:
     """Float bounding-box prefilter over a list of triangles or segments.
 
-    Boxes are padded so float rounding can never cause a false miss; all
-    candidate pairs are still confirmed with exact arithmetic by callers.
+    A query never misses a pair whose exact boxes overlap, at any scale:
+    ``float`` of an int or a Fraction is correctly rounded (one int/int
+    true division), so it is monotone, and exact ``lo <= hi`` implies
+    ``float(lo) <= float(hi)``.  Rounding can only add candidates, and
+    callers confirm every candidate with exact arithmetic.
     """
 
     def __init__(self, items):
@@ -640,8 +640,6 @@ class BoxIndex:
         arr = np.empty((len(boxes), 6), dtype=float)
         for i, b in enumerate(boxes):
             arr[i] = [float(c) for c in b]
-        arr[:, :3] -= _PAD
-        arr[:, 3:] += _PAD
         self.arr = arr
 
     def query(self, box):
@@ -650,12 +648,12 @@ class BoxIndex:
         if len(a) == 0:
             return []
         mask = (
-            (a[:, 0] <= b[3] + _PAD)
-            & (a[:, 3] >= b[0] - _PAD)
-            & (a[:, 1] <= b[4] + _PAD)
-            & (a[:, 4] >= b[1] - _PAD)
-            & (a[:, 2] <= b[5] + _PAD)
-            & (a[:, 5] >= b[2] - _PAD)
+            (a[:, 0] <= b[3])
+            & (a[:, 3] >= b[0])
+            & (a[:, 1] <= b[4])
+            & (a[:, 4] >= b[1])
+            & (a[:, 2] <= b[5])
+            & (a[:, 5] >= b[2])
         )
         return np.nonzero(mask)[0].tolist()
 

@@ -17,14 +17,6 @@ def qstr(x):
     return "%d/%d" % (n, d)
 
 
-def qparse(s):
-    """Inverse of qstr."""
-    if "/" in s:
-        n, d = s.split("/")
-        return Q(int(n), int(d))
-    return Q(int(s))
-
-
 def sign(x):
     if x > 0:
         return 1

@@ -12,6 +12,7 @@ and close up at the start.  Circles of the intersection join the result
 as standalone loops.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import NonzeroLinking, NotGeneric, StuckTrace
@@ -181,7 +182,19 @@ def pierce_points(K_a, F_b, component=0, index_b=None):
 # the derived boundary tracer
 
 
-def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0), index_a=None, index_b=None):
+def _next_after(positions, pos, ok, stuck):
+    """First of the sorted `positions` strictly after `pos`, cyclically,
+    that passes `ok`; raises StuckTrace(stuck) when none does."""
+    n = len(positions)
+    k0 = bisect_right(positions, pos)
+    for step in range(n):
+        q = positions[(k0 + step) % n]
+        if ok(q):
+            return q
+    raise StuckTrace(stuck)
+
+
+def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0), index_b=None):
     """Derived boundary of the ordered pair, on explicit curves/surfaces."""
     a_id, b_id = pair
     pierces = pierce_points(K_a, F_b, component=a_id, index_b=index_b)
@@ -250,27 +263,11 @@ def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0), index_a=None, index_b=None):
     consumed_minus = set()
     loops = []
 
-    def next_plus(pos):
-        """First +1 pierce with an unused arc, strictly after pos (cyclic)."""
-        k0 = 0
-        while k0 < len(a_positions) and a_positions[k0] <= pos:
-            k0 += 1
-        for step in range(len(a_positions)):
-            q = a_positions[(k0 + step) % len(a_positions)]
-            pk = out_arc.get(q)
-            if pk is not None and pk not in used:
-                return q
-        raise StuckTrace("no reachable +1 pierce from position %s" % pos)
+    def fresh_plus(q):
+        return q in out_arc and out_arc[q] not in used
 
-    def next_departure(pos):
-        k0 = 0
-        while k0 < len(b_positions) and b_positions[k0] <= pos:
-            k0 += 1
-        for step in range(len(b_positions)):
-            q = b_positions[(k0 + step) % len(b_positions)]
-            if departs_b[q] not in used:
-                return q
-        raise StuckTrace("no reachable departure on the second component")
+    def fresh_departure(q):
+        return departs_b[q] not in used
 
     for start in minus:
         if start in consumed_minus:
@@ -278,7 +275,8 @@ def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0), index_a=None, index_b=None):
         loop = []
         cur = start
         while True:
-            q = next_plus(cur)
+            q = _next_after(a_positions, cur, fresh_plus,
+                            "no reachable +1 pierce from position %s" % cur)
             loop.append(
                 BoundaryPiece(
                     kind="along", component=a_id,
@@ -290,7 +288,8 @@ def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0), index_a=None, index_b=None):
             loop.append(BoundaryPiece(kind="interior", component=None, points=arc.points))
             side, pos = arc.ends[1]
             while side == "b":
-                dep = next_departure(pos)
+                dep = _next_after(b_positions, pos, fresh_departure,
+                                  "no reachable departure on the second component")
                 loop.append(
                     BoundaryPiece(
                         kind="along", component=b_id,
@@ -327,17 +326,9 @@ def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0), index_a=None, index_b=None):
             side, pos = arc.ends[1]
             if side != "b":
                 raise StuckTrace("second-component loop escaped to a pierce")
-            k0 = 0
-            while k0 < len(b_positions) and b_positions[k0] <= pos:
-                k0 += 1
-            q = None
-            for step in range(len(b_positions)):
-                cand = b_positions[(k0 + step) % len(b_positions)]
-                if cand == start_q or departs_b[cand] not in used:
-                    q = cand
-                    break
-            if q is None:
-                raise StuckTrace("no departure to continue a second-component loop")
+            q = _next_after(b_positions, pos,
+                            lambda q: q == start_q or fresh_departure(q),
+                            "no departure to continue a second-component loop")
             loop.append(
                 BoundaryPiece(
                     kind="along", component=b_id,

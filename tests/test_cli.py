@@ -137,9 +137,14 @@ def _sha(data):
 
 
 def _massey3_dumps(capsys, tmp_path, tag, *extra):
+    return _run_dumps(
+        capsys, tmp_path, tag,
+        "massey3", "--fixture", "borromean", "--order", "1,2,3", *extra)
+
+
+def _run_dumps(capsys, tmp_path, tag, *argv):
     geo, tr = tmp_path / (tag + "-geo.json"), tmp_path / (tag + "-trace.json")
-    code = main(["massey3", "--fixture", "borromean", "--order", "1,2,3",
-                 "--dump-geometry", str(geo), "--dump-trace", str(tr), *extra])
+    code = main([*argv, "--dump-geometry", str(geo), "--dump-trace", str(tr)])
     out = capsys.readouterr().out
     return code, out, geo.read_bytes(), tr.read_bytes()
 
@@ -152,7 +157,12 @@ def test_massey3_borromean_golden_dumps(tmp_path, capsys):
     } == GOLDEN_BORROMEAN
 
 
-def test_massey3_retries_first_build_and_dumps_it(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("massey3", "--fixture", "borromean", "--order", "1,2,3"),
+    ("trace", "--fixture", "borromean", "--pair", "2,3"),
+    ("massey4", "--fixture", "unlink4", "--order", "1,2,3,4"),
+], ids=lambda argv: argv[0])
+def test_retries_first_build_and_dumps_it(argv, tmp_path, capsys, monkeypatch):
     real = embed.verify_embedding
     seen = []
 
@@ -163,17 +173,39 @@ def test_massey3_retries_first_build_and_dumps_it(tmp_path, capsys, monkeypatch)
         return real(e)
 
     monkeypatch.setattr(embed, "verify_embedding", flaky)
-    r = massey3(load_fixture("borromean"), (1, 2, 3))
-    assert seen == [0, 1]
-    assert r.embedding.perturb_index == 1 and r.value == 1
+    if argv[0] == "massey3":
+        r = massey3(load_fixture("borromean"), (1, 2, 3))
+        assert seen == [0, 1]
+        assert r.embedding.perturb_index == 1 and r.value == 1
+        seen.clear()
 
-    seen.clear()
-    code, out, geo, tr = _massey3_dumps(capsys, tmp_path, "retry")
-    assert code == 0 and json.loads(out)["value"] == 1
+    def run(tag, *extra):
+        if argv[0] == "massey4":  # writes no dumps
+            code = main([*argv, *extra])
+            return code, capsys.readouterr().out, b"", b""
+        return _run_dumps(capsys, tmp_path, tag, *argv, *extra)
+
+    code, out, geo, tr = run("retry")
+    assert code == 0
     assert seen == [0, 1]  # one failed build, one measured: no extra build
     monkeypatch.undo()
-    # the dump is the embedding that was measured, the one at index 1
-    code, out1, geo1, tr1 = _massey3_dumps(capsys, tmp_path, "seed1", "--seed", "1")
-    assert code == 0
-    assert (out, geo, tr) == (out1, geo1, tr1)
-    assert _sha(geo) != GOLDEN_BORROMEAN["geometry"]
+    # the output and dumps are those of the embedding measured, at index 1
+    assert (code, out, geo, tr) == run("seed1", "--seed", "1")
+    if argv[0] == "massey3":
+        assert json.loads(out)["value"] == 1
+        assert _sha(geo) != GOLDEN_BORROMEAN["geometry"]
+
+
+@pytest.mark.parametrize("command", ["lk", "seifert", "milnor"])
+@pytest.mark.parametrize("option", [("--seed", "1"), ("--dump-geometry", "g.json")],
+                         ids=["seed", "dump-geometry"])
+def test_combinatorial_commands_reject_geometry_options(command, option, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--fixture", "borromean", *option]
+    if command == "milnor":
+        argv += ["--indices", "1,2,3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert not (tmp_path / "g.json").exists()

@@ -213,6 +213,46 @@ def test_box_index_padding_never_misses():
     assert set(idx.query(disk.bbox())) == {0, 1}
 
 
+def _exact_overlap(b1, b2):
+    return all(b1[t] <= b2[t + 3] and b2[t] <= b1[t + 3] for t in range(3))
+
+
+def test_box_index_query_matches_exact_overlap():
+    rng = random.Random(5027)
+
+    def box(base, dens):
+        lo = tuple(base + Q(rng.randint(-64, 64), rng.choice(dens)) for _ in range(3))
+        return lo, tuple(c + Q(rng.randint(0, 64), rng.choice(dens)) for c in lo)
+
+    tiny = Q(1, 2**100)
+    far = 2**60
+    dyadic = (1, 2, 8, 2**20)  # floats represent these coordinates exactly
+    small = [box(0, dyadic) for _ in range(80)]
+    small += [
+        (P(0, 0, 0), P(1, 1, 1)),
+        (P(1, 0, 0), P(2, 1, 1)),                          # touches a face
+        (P(1, 1, 1), P(2, 2, 2)),                          # touches a corner
+        (P(1 + Q(1, 2**20), 0, 0), P(2, 1, 1)),            # just clear
+    ]
+    big = [box(far, (1, 3, 7)) for _ in range(60)]
+    corner = P(far, far, far)
+    big += [
+        (corner, corner),
+        (P(far + tiny, far, far), P(far + 1, far, far)),  # clear by 2**-100
+        (P(far - 1, far, far), P(far + tiny, far, far)),  # overlaps by 2**-100
+        (P(far + tiny, far, far), P(far + tiny, far + 1, far + 1)),  # touches
+    ]
+    for items, exact_in_float in ((small, True), (big, False)):
+        idx = BoxIndex(items)
+        for q in items:
+            qbox = (*q[0], *q[1])
+            exact = {i for i, it in enumerate(items) if _exact_overlap((*it[0], *it[1]), qbox)}
+            found = set(idx.query(qbox))
+            assert exact <= found
+            if exact_in_float:
+                assert found == exact
+
+
 def test_boundary_curves_of_disk():
     (loop,) = _disk().boundary_curves()
     assert loop.closed and len(loop) == 4
