@@ -21,7 +21,7 @@ horizontal polygons of different surfaces are never coplanar.
 from dataclasses import dataclass
 
 from . import plgeom
-from .drawing import draw_diagram, point_in_polygon, polygon_area2
+from .drawing import draw_diagram, point_in_polygon, polygon_area2, seg2_properly_intersect
 from .errors import NotGeneric, TubeTooLarge
 from .plgeom import PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_scale, v_sub
 from .rational import Q
@@ -368,11 +368,7 @@ class EmbeddedLink:
     perturb_index: int = 0
 
     def surface_index(self, i):
-        key = "_sidx%d" % i
-        cache = self.__dict__.setdefault("_caches", {})
-        if key not in cache:
-            cache[key] = plgeom.BoxIndex(self.surfaces[i].triangles)
-        return cache[key]
+        return self.surfaces[i].index
 
 
 def _rim_points(d, drawing, locs, circle, dip, zshift):
@@ -404,39 +400,80 @@ def _rim_points(d, drawing, locs, circle, dip, zshift):
 
 
 def _wall_and_polygon(rim, level):
-    """Skirt wall from the rim down to `level` plus the horizontal polygon."""
+    """Skirt wall from the rim down to `level` plus the horizontal polygon.
+
+    The two together form the circle's cup, and the cup is embedded: its
+    triangles meet only in common vertices and edges, so verify_embedding
+    does not compare them with each other.  Let P be the footprint, the
+    rim projected to the plane.  Wall quad k is the vertical quad over
+    edge e_k of P, hung from the rim down to `level`; the disk is an ear
+    clipping of P at `level`.  If
+
+      (i)  P is a simple polygon, and
+      (ii) every rim point lies strictly above `level`,
+
+    then quads over non-adjacent edges lie over disjoint segments, and
+    quads over adjacent edges meet only over their common vertex, in
+    their common vertical edge.  By (ii) a quad meets the plane z = level
+    only in its bottom edge, e_k at `level`, on the boundary of P.  The
+    ear clipping of a simple polygon (ears contain no other vertex, not
+    even on their closed boundary) is a triangulation of P whose triangles
+    meet only in common vertices and edges, and whose triangle on e_k has
+    the quad's bottom edge as an edge.  Both conditions are checked here,
+    exactly, on the integer form of the footprint; NotGeneric if either
+    fails.
+    """
     tris = []
     tags = []
     n = len(rim)
     for k in range(n):
         p, q = rim[k], rim[(k + 1) % n]
-        pb = (p[0], p[1], level)
-        qb = (q[0], q[1], level)
         if (p[0], p[1]) == (q[0], q[1]):
             raise NotGeneric("vertical rim edge")
+        if p[2] <= level:
+            raise NotGeneric("rim point not above its disk")
+        pb = (p[0], p[1], level)
+        qb = (q[0], q[1], level)
         tris.append((p, q, qb))
-        tags.append("wall")
-        if pb != qb:
-            tris.append((p, qb, pb))
-            tags.append("wall")
-    poly2 = []
-    for p in rim:
-        xy = (p[0], p[1])
-        if not poly2 or poly2[-1] != xy:
-            poly2.append(xy)
-    if poly2[0] == poly2[-1]:
-        poly2.pop()
-    area = polygon_area2(poly2)
+        tris.append((p, qb, pb))
+        tags += ["wall", "wall"]
+    poly2 = [(p[0], p[1]) for p in rim]
+    poly = lift(poly2)[1]
+    area = polygon_area2(poly)
     if area == 0:
         raise NotGeneric("degenerate circle footprint")
-    orient = 1 if area > 0 else -1
+    _check_simple(poly)
     # the clip decides on orientation signs alone, which the integer form
     # over one common denominator keeps
-    for (i0, i1, i2) in _ear_clip(lift(poly2)[1], orient):
+    for (i0, i1, i2) in _ear_clip(poly, 1 if area > 0 else -1):
         a, b, c = poly2[i0], poly2[i1], poly2[i2]
         tris.append(((a[0], a[1], level), (b[0], b[1], level), (c[0], c[1], level)))
         tags.append("disk")
     return tris, tags
+
+
+def _check_simple(poly):
+    """NotGeneric unless the closed polygon (consecutive vertices distinct)
+    is simple: adjacent edges meet only in their common vertex, and
+    non-adjacent edges do not meet at all."""
+    n = len(poly)
+    edges = [(poly[k], poly[(k + 1) % n]) for k in range(n)]
+    boxes = [
+        (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+        for a, b in edges
+    ]
+    for k, (a, b) in enumerate(edges):
+        c = edges[(k + 1) % n][1]
+        if orient2(a, b, c) == 0 and (
+                (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1]) < 0):
+            raise NotGeneric("circle footprint folds back")
+        x0, y0, x1, y1 = boxes[k]
+        for j in range(k + 2, n if k else n - 1):
+            u0, v0, u1, v1 = boxes[j]
+            if u0 > x1 or u1 < x0 or v0 > y1 or v1 < y0:
+                continue
+            if seg2_properly_intersect(a, b, *edges[j]):
+                raise NotGeneric("circle footprint is not simple")
 
 
 def _band_triangles(loc, dip, zshift):
@@ -584,14 +621,27 @@ def measured(source, measure, grid_scale=1, perturb_index=0):
 
 
 def verify_embedding(e):
-    """Boundary and embeddedness checks for every component surface."""
+    """Boundary and embeddedness checks for every component surface.
+
+    The triangles of one cup (a circle's wall and disk, tagged "wall:c"
+    and "disk:c") were proved embedded together when they were built
+    (see _wall_and_polygon), so only the other pairs are checked in
+    exact 3D: band triangles against anything, and cups of different
+    circles against each other.
+    """
     for i, surf in e.surfaces.items():
         loops = surf.boundary_curves()
         if len(loops) != 1:
             raise NotGeneric("surface %d has %d boundary loops" % (i, len(loops)))
         if not _same_cycle(loops[0], e.curves[i]):
             raise NotGeneric("boundary of surface %d is not its curve" % i)
-        surf.check_embedded()
+        surf.check_embedded(cups=[_cup_key(tag) for tag in e.provenance[i]])
+
+
+def _cup_key(tag):
+    """The circle of a "wall:c" or "disk:c" tag; None for a band."""
+    kind, _, c = tag.partition(":")
+    return None if kind == "band" else c
 
 
 def _same_cycle(c1, c2):
@@ -678,7 +728,7 @@ def boundary_torus(e, i, radius=None):
     except NotGeneric:
         raise TubeTooLarge("tube of radius %s self-intersects" % r)
     # the tube must also clear every other curve of the link
-    idx = plgeom.BoxIndex(torus.triangles)
+    idx = torus.index
     for j, other in e.curves.items():
         if j == i:
             continue

@@ -526,9 +526,6 @@ class PLCurve:
                     out.append(self.point_at(pos1))
                 return out
 
-    def bbox(self):
-        return _bbox(self.vertices)
-
 
 class PLSurface:
     """Oriented triangulated surface with exact vertices.
@@ -536,30 +533,35 @@ class PLSurface:
     Triangles are ordered vertex triples; the winding defines the
     orientation.  Interior edges must be shared by exactly two triangles
     with opposite induced directions.  ``lifted`` holds the IntTriangle of
-    each triangle, made once here for the exact kernel.
+    each triangle, made once here for the exact kernel, and ``index`` the
+    one BoxIndex of the triangles, built from those integer forms.
     """
 
     def __init__(self, triangles):
         self.triangles = [tuple(_qvertex(v) for v in t) for t in triangles]
         self.lifted = [int_triangle(t) for t in self.triangles]
+        self.index = BoxIndex(self.lifted)
 
     def __len__(self):
         return len(self.triangles)
 
     def validate(self):
-        """Check edge pairing; returns the list of boundary (directed) edges."""
-        count = {}
+        """Check edge pairing; returns the list of boundary (directed) edges.
+
+        Edges are keyed on the (numerator, denominator) ints of their
+        coordinates, which name a rational exactly and hash far cheaper
+        than a Fraction.
+        """
+        edges = {}
         for t in self.triangles:
+            keys = [_point_key(v) for v in t]
             for i in range(3):
-                e = (t[i], t[(i + 1) % 3])
-                if e in count:
-                    raise ValueError("repeated directed edge %r" % (e,))
-                count[e] = True
-        boundary = []
-        for e in count:
-            if (e[1], e[0]) not in count:
-                boundary.append(e)
-        return boundary
+                j = (i + 1) % 3
+                k = (keys[i], keys[j])
+                if k in edges:
+                    raise ValueError("repeated directed edge %r" % ((t[i], t[j]),))
+                edges[k] = (t[i], t[j])
+        return [e for k, e in edges.items() if (k[1], k[0]) not in edges]
 
     def boundary_curves(self):
         """Boundary as oriented closed PLCurves (induced orientation)."""
@@ -585,20 +587,20 @@ class PLSurface:
             curves.append(PLCurve(loop, closed=True))
         return curves
 
-    def bbox(self):
-        return _bbox([v for t in self.triangles for v in t])
-
-    def check_embedded(self):
+    def check_embedded(self, cups=None):
         """Exact self-intersection check.
 
         Triangles may share vertices/edges (mesh adjacency); any other
-        contact raises NotGeneric.
+        contact raises NotGeneric.  ``cups`` is an optional per-triangle
+        key: two triangles with the same key other than None are taken as
+        already proved embedded together and are not compared.
         """
-        idx = BoxIndex([t for t in self.triangles])
+        idx = self.index
         lifted = self.lifted
         for i, t1 in enumerate(self.triangles):
-            for j in idx.query(_bbox(t1)):
-                if j <= i:
+            cup = cups[i] if cups is not None else None
+            for j in idx.query(idx.arr[i]):
+                if j <= i or (cup is not None and cups[j] == cup):
                     continue
                 r = triangle_triangle(lifted[i], lifted[j])
                 if r[0] == "empty":
@@ -618,6 +620,12 @@ class PLSurface:
                 raise NotGeneric("surface self-intersection between %d and %d" % (i, j))
 
 
+def _point_key(p):
+    x, y, z = p
+    return (x.numerator, x.denominator, y.numerator, y.denominator,
+            z.numerator, z.denominator)
+
+
 def _bbox(points):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -625,22 +633,31 @@ def _bbox(points):
     return (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
 
 
+def _box_row(item):
+    """Float box of one item: a point sequence or an IntTriangle."""
+    if isinstance(item, IntTriangle):
+        D, verts, _ = item
+        cols = list(zip(*verts))
+        return [min(c) / D for c in cols] + [max(c) / D for c in cols]
+    return [float(c) for c in _bbox(list(item))]
+
+
 class BoxIndex:
     """Float bounding-box prefilter over a list of triangles or segments.
 
-    A query never misses a pair whose exact boxes overlap, at any scale:
-    ``float`` of an int or a Fraction is correctly rounded (one int/int
-    true division), so it is monotone, and exact ``lo <= hi`` implies
-    ``float(lo) <= float(hi)``.  Rounding can only add candidates, and
-    callers confirm every candidate with exact arithmetic.
+    Items are point sequences or IntTriangles; ``arr`` holds one float row
+    (lo x, y, z, hi x, y, z) per item.  A query never misses a pair whose
+    exact boxes overlap, at any scale: ``float`` of an int or a Fraction
+    is correctly rounded (one int/int true division), so it is monotone,
+    and exact ``lo <= hi`` implies ``float(lo) <= float(hi)``.  The
+    integer form gives the same floats: min(ints) / D is one correctly
+    rounded division of the same rational.  Rounding can only add
+    candidates, and callers confirm every candidate with exact arithmetic.
+    A row of ``arr`` is itself a valid query box.
     """
 
     def __init__(self, items):
-        boxes = [_bbox(list(it)) for it in items]
-        arr = np.empty((len(boxes), 6), dtype=float)
-        for i, b in enumerate(boxes):
-            arr[i] = [float(c) for c in b]
-        self.arr = arr
+        self.arr = np.array([_box_row(it) for it in items], dtype=float).reshape(-1, 6)
 
     def query(self, box):
         b = np.array([float(c) for c in box], dtype=float)
@@ -695,7 +712,7 @@ def curve_surface_crossings(curve, surface, index=None):
     """All transversal pierce events of a PLCurve through a PLSurface,
     as (position, point, sign, triangle index) sorted along the curve."""
     if index is None:
-        index = BoxIndex(surface.triangles)
+        index = surface.index
     events = []
     for si, seg in enumerate(curve.segments()):
         for t, x, s, ti in _segment_crossings(seg, surface, index):

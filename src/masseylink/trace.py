@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import NonzeroLinking, NotGeneric, StuckTrace
 from .plgeom import (
-    BoxIndex,
     PLCurve,
     curve_surface_crossings,
     tri_normal,
@@ -25,7 +24,6 @@ from .plgeom import (
     v_cross,
     v_dot,
     v_sub,
-    _bbox,
 )
 from .rational import sign
 
@@ -85,10 +83,10 @@ class DerivedBoundary:
 def surface_intersection(F_a, F_b, pair=(0, 0), index_b=None):
     """Connected oriented components of the point set F_a meet F_b."""
     if index_b is None:
-        index_b = BoxIndex(F_b.triangles)
+        index_b = F_b.index
     raw = {}
-    for ia, ta in enumerate(F_a.triangles):
-        for ib in index_b.query(_bbox(list(ta))):
+    for ia, box in enumerate(F_a.index.arr):
+        for ib in index_b.query(box):
             r = triangle_triangle(F_a.lifted[ia], F_b.lifted[ib])
             if r[0] == "empty":
                 continue

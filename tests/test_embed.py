@@ -1,19 +1,28 @@
+import dataclasses
 import json
+import random
+import re
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from masseylink.diagram import parse_pd
 from masseylink.drawing import draw_diagram, point_in_polygon
 from masseylink.embed import (
+    _locals_cache,
+    _wall_and_polygon,
     boundary_torus,
     build_embedding,
     meridian,
     pushoff_cycle,
     seifert_circles,
+    verify_embedding,
 )
-from masseylink.errors import NonRealizable, TubeTooLarge
-from masseylink.fixtures import load_fixture
-from masseylink.plgeom import curve_surface_count
+from masseylink.errors import NonRealizable, NotGeneric, TubeTooLarge
+from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
+from masseylink.plgeom import BoxIndex, PLCurve, PLSurface, curve_surface_count, qpoint as P
+from masseylink.rational import Q
 
 
 def _euler(surface):
@@ -161,6 +170,100 @@ def test_pairwise_surfaces_generic(e_borromean):
         for c in curves:
             assert c.kind in ("arc", "circle")
             assert len(c.points) >= 2
+
+
+# -- embeddedness: cups proved in 2D, everything else in exact 3D -------------
+
+
+def _zero_linking_words(count, seed):
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        word = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(6, 12)))
+        d = braid_closure(word, 3)
+        if d.n_components == 3 and not any(
+                d.linking_number(a, b) for a, b in ((1, 2), (2, 3), (1, 3))):
+            words.append(word)
+    return words
+
+
+_EMBEDDING_CASES = (
+    [pytest.param(("fixture", name), id=name) for name in fixture_names()]
+    + [pytest.param(("clasp_family", k), id="clasp_family(%d)" % k) for k in (1, 2)]
+    + [pytest.param(("closure", w), id="closure%s" % (w,))
+       for w in _zero_linking_words(3, seed=5027)]
+)
+_GEOMETRIES = ((1, 0), (2**40, 0), (1, 1))   # (grid scale, perturbation index)
+
+
+@lru_cache(maxsize=None)
+def _embeddings(case):
+    kind, arg = case
+    if kind == "fixture":
+        d = load_fixture(arg)
+    elif kind == "clasp_family":
+        d = clasp_family(arg)
+    else:
+        d = braid_closure(arg, 3)
+    return [build_embedding(d, grid_scale=g, perturb_index=p) for g, p in _GEOMETRIES]
+
+
+@pytest.mark.parametrize("case", _EMBEDDING_CASES)
+def test_cup_proof_agrees_with_full_check(case):
+    # build_embedding ran verify_embedding, which skips pairs inside one
+    # cup; the full check compares every box-overlapping pair in 3D
+    for e in _embeddings(case):
+        verify_embedding(e)
+        for surf in e.surfaces.values():
+            surf.check_embedded()
+
+
+@pytest.mark.parametrize("case", _EMBEDDING_CASES)
+def test_surface_index_matches_rational_boxes(case):
+    for e in _embeddings(case):
+        for i, surf in e.surfaces.items():
+            assert e.surface_index(i) is surf.index
+            assert np.array_equal(surf.index.arr, BoxIndex(surf.triangles).arr)
+
+
+def _rim(*xyz):
+    return [P(*p) for p in xyz]
+
+
+@pytest.mark.parametrize("rim, message", [
+    # a bowtie with lobes of unequal area (ear clipping alone fails on it
+    # too, at its reversed final triangle)
+    (_rim((0, 0, 0), (6, 4, 0), (6, 0, 0), (0, 6, 0)), "not simple"),
+    # a self-overlapping pentagon that ear clipping alone accepts
+    (_rim((3, 1, 0), (3, 3, 0), (5, 0, 0), (0, 0, 0), (4, 5, 0)), "not simple"),
+    (_rim((0, 0, 0), (4, 0, 0), (2, 0, 0), (2, 4, 0)), "folds back"),
+    (_rim((0, 0, 0), (4, 0, 0), (4, 4, -1), (0, 4, 0)), "not above"),
+], ids=["bowtie", "overlap", "foldback", "rim_at_level"])
+def test_cup_conditions_are_checked(rim, message):
+    with pytest.raises(NotGeneric, match=message):
+        _wall_and_polygon(rim, Q(-1))
+
+
+def test_band_through_a_disk_is_still_caught():
+    # lower one band vertex (and the curve with it) below the deepest disk:
+    # the band triangles at it now pierce that disk, and verify_embedding
+    # compares band triangles with every cup
+    e = build_embedding(load_fixture("trefoil"))
+    surf, tags = e.surfaces[1], e.provenance[1]
+    band = tags.index("band:0")
+    dip = _locals_cache(e.drawing)[0].u_D1
+    v = next(p for t in surf.triangles[band:band + 10] for p in t if p[:2] == dip)
+    deepest = min(t[0][2] for t, g in zip(surf.triangles, tags) if g.startswith("disk"))
+    w = (v[0], v[1], deepest - e.unit)
+    bad = dataclasses.replace(
+        e,
+        surfaces={1: PLSurface([[w if p == v else p for p in t] for t in surf.triangles])},
+        curves={1: PLCurve([w if p == v else p for p in e.curves[1].vertices])},
+    )
+    with pytest.raises(NotGeneric, match="self-intersection") as err:
+        verify_embedding(bad)
+    kinds = {tags[int(k)].split(":")[0] for k in re.findall(r"\d+", str(err.value))}
+    assert kinds == {"band", "disk"}
 
 
 # -- tubes, meridians, pushoffs ----------------------------------------------

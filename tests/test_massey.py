@@ -113,7 +113,7 @@ def test_random_zero_linking_closures_match_oracle():
 
     rng = random.Random(424242)
     tested = 0
-    while tested < 8:
+    while tested < 16:
         word = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(6, 12)))
         d = braid_closure(word, 3)
         if d.n_components != 3:

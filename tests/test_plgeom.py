@@ -10,6 +10,7 @@ from masseylink.plgeom import (
     BoxIndex,
     PLCurve,
     PLSurface,
+    _bbox,
     curve_surface_count,
     int_triangle,
     orient3,
@@ -203,14 +204,35 @@ def test_count_invariant_under_subdivision(ku, kv):
 
 def test_surface_validation_catches_bad_mesh():
     a, b, c = P(0, 0, 0), P(1, 0, 0), P(0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"repeated directed edge \(\(Fraction"):
         PLSurface([(a, b, c), (a, b, c)]).validate()
+
+
+def test_validate_returns_rational_boundary_edges_in_order():
+    # the hexagon fan's interior spokes pair up; the rim comes back as the
+    # rational edges, in triangle order
+    o = P(0, 0, Q(1, 3))
+    rim = [P(2, 0, 0), P(1, 2, 0), P(-1, 2, 0), P(-2, 0, 0), P(-1, -2, 0), P(1, -2, 0)]
+    fan = PLSurface([(o, rim[k], rim[(k + 1) % 6]) for k in range(6)])
+    assert fan.validate() == [(rim[k], rim[(k + 1) % 6]) for k in range(6)]
+    assert all(type(c) is Fraction for e in fan.validate() for v in e for c in v)
+
+
+def test_check_embedded_skips_pairs_within_one_cup():
+    # two crossing triangles: compared unless they carry one non-None key
+    t1 = (P(0, 0, 0), P(4, 0, 0), P(0, 4, 0))
+    t2 = (P(1, 1, -1), P(1, 1, 1), P(2, -3, 0))
+    s = PLSurface([t1, t2])
+    s.check_embedded(cups=["c", "c"])
+    for cups in (None, ["c", "d"], [None, None], ["c", None]):
+        with pytest.raises(NotGeneric):
+            s.check_embedded(cups=cups)
 
 
 def test_box_index_padding_never_misses():
     disk = _disk()
     idx = BoxIndex(disk.triangles)
-    assert set(idx.query(disk.bbox())) == {0, 1}
+    assert set(idx.query(_bbox([v for t in disk.triangles for v in t]))) == {0, 1}
 
 
 def _exact_overlap(b1, b2):
