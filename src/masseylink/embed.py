@@ -18,7 +18,7 @@ pierce sibling polygons; distinct components use distinct levels so
 horizontal polygons of different surfaces are never coplanar.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import plgeom
 from .drawing import draw_diagram, point_in_polygon, polygon_area2, seg2_properly_intersect
@@ -366,6 +366,11 @@ class EmbeddedLink:
     unit: object
     grid_scale: int = 1
     perturb_index: int = 0
+    # (lo, hi) -> surface_intersection(F_lo, F_hi), filled by
+    # trace.embedded_intersection; a copy made by dataclasses.replace
+    # starts empty
+    intersections: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def surface_index(self, i):
         return self.surfaces[i].index
@@ -661,12 +666,15 @@ def _same_cycle(c1, c2):
 
 
 def _essential_vertices(vs):
-    out = []
+    """The vertices of a closed polyline that are not collinear with both
+    neighbours, decided on its integer form over one common denominator."""
+    ws = lift(vs)[1]
     n = len(vs)
+    out = []
     for i in range(n):
-        p, q, r = vs[(i - 1) % n], vs[i], vs[(i + 1) % n]
+        p, q, r = ws[i - 1], ws[i], ws[(i + 1) % n]
         if v_cross(v_sub(q, p), v_sub(r, q)) != (0, 0, 0):
-            out.append(q)
+            out.append(vs[i])
     return out
 
 

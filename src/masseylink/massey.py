@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .embed import measured, meridian, pushoff_cycle, pushoff_points
 from .errors import MasseyUndefined, NotGeneric
-from .plgeom import BoxIndex, PLCurve, curve_surface_count
+from .plgeom import PLCurve, curve_surface_count
 from .trace import trace_derived_boundary
 
 
@@ -49,10 +49,7 @@ def _check_ordering(e, ordering, size):
 
 def first_term(e, db, i):
     """lk(K_i, traced boundary): signed count of the loops through F_i."""
-    idx = e.surface_index(i)
-    return sum(
-        curve_surface_count(lc, e.surfaces[i], idx) for lc in db.loop_curves()
-    )
+    return sum(curve_surface_count(lc, e.surfaces[i]) for lc in db.loop_curves())
 
 
 def _along_spans(e, db, i):
@@ -71,7 +68,7 @@ def _along_spans(e, db, i):
     return spans
 
 
-def _pushoff_family_count(e, spans, i, surface, index):
+def _pushoff_family_count(e, spans, i, surface):
     """Signed count against `surface` of the blackboard pushoffs of the
     (pos0, pos1) spans on K_i; a span with pos0 == pos1 is all of K_i."""
     curve = e.curves[i]
@@ -83,7 +80,7 @@ def _pushoff_family_count(e, spans, i, surface, index):
             family = PLCurve(
                 pushoff_points(curve, pos0, pos1, e.tube_radius), closed=False
             )
-        total += curve_surface_count(family, surface, index)
+        total += curve_surface_count(family, surface)
     return total
 
 
@@ -94,13 +91,12 @@ def second_term(e, db, i, k, meridian_twists=0, longitude_twists=0):
     family; by the vanishing-linking hypothesis they cannot change the
     count, which the property suite verifies.
     """
-    idx = e.surface_index(k)
     surf = e.surfaces[k]
     # a longitude is the pushoff of one whole-curve span
     spans = _along_spans(e, db, i) + [(0, 0)] * longitude_twists
-    total = _pushoff_family_count(e, spans, i, surf, idx)
+    total = _pushoff_family_count(e, spans, i, surf)
     for _ in range(meridian_twists):
-        total += curve_surface_count(meridian(e, i), surf, idx)
+        total += curve_surface_count(meridian(e, i), surf)
     return total
 
 
@@ -227,10 +223,7 @@ def _massey4_on(e, ordering, provider):
                 "C_%d%d%d spanning surface required" % (j, k, l), (), None,
             )
         summands.append(
-            curve_surface_count(
-                pushoff_cycle(e.curves[i], e.tube_radius), C_jkl,
-                BoxIndex(C_jkl.triangles),
-            )
+            curve_surface_count(pushoff_cycle(e.curves[i], e.tube_radius), C_jkl)
         )
     # summand 2: tube(i) . C_ij . C_kl
     if _boundary_empty(boundaries[(i, j)]) or _boundary_empty(boundaries[(k, l)]):
@@ -244,7 +237,7 @@ def _massey4_on(e, ordering, provider):
             )
         spans = _along_spans(e, boundaries[(i, j)], i)
         summands.append(
-            _pushoff_family_count(e, spans, i, C_kl, BoxIndex(C_kl.triangles))
+            _pushoff_family_count(e, spans, i, C_kl)
         )
     # summand 3: tube(i) . C_ijk . F_l
     if _boundary_empty(boundaries[(i, j)]) and _boundary_empty(boundaries[(j, k)]):
@@ -258,7 +251,7 @@ def _massey4_on(e, ordering, provider):
             )
         spans = _surface_k_spans(e, C_ijk, i)
         summands.append(
-            _pushoff_family_count(e, spans, i, e.surfaces[l], e.surface_index(l))
+            _pushoff_family_count(e, spans, i, e.surfaces[l])
         )
 
     return FourthOrderPlan(

@@ -548,13 +548,11 @@ class PLSurface:
     def validate(self):
         """Check edge pairing; returns the list of boundary (directed) edges.
 
-        Edges are keyed on the (numerator, denominator) ints of their
-        coordinates, which name a rational exactly and hash far cheaper
-        than a Fraction.
+        Edges are keyed on the ``point_key`` of their ends.
         """
         edges = {}
         for t in self.triangles:
-            keys = [_point_key(v) for v in t]
+            keys = [point_key(v) for v in t]
             for i in range(3):
                 j = (i + 1) % 3
                 k = (keys[i], keys[j])
@@ -564,23 +562,29 @@ class PLSurface:
         return [e for k, e in edges.items() if (k[1], k[0]) not in edges]
 
     def boundary_curves(self):
-        """Boundary as oriented closed PLCurves (induced orientation)."""
-        edges = self.validate()
+        """Boundary as oriented closed PLCurves (induced orientation).
+
+        Vertices are keyed on ``point_key``; each loop starts at its least
+        vertex, and the loops come in the order of those vertices.
+        """
         nxt = {}
-        for a, b in edges:
-            if a in nxt:
+        at = {}
+        for a, b in self.validate():
+            ka = point_key(a)
+            if ka in nxt:
                 raise NotGeneric("boundary is not a disjoint union of circles")
-            nxt[a] = b
+            nxt[ka] = point_key(b)
+            at[ka] = a
         curves = []
         seen = set()
-        for start in sorted(nxt):
+        for start in sorted(nxt, key=at.__getitem__):
             if start in seen:
                 continue
-            loop = [start]
+            loop = [at[start]]
             seen.add(start)
             cur = nxt[start]
             while cur != start:
-                loop.append(cur)
+                loop.append(at[cur])
                 seen.add(cur)
                 cur = nxt[cur]
             # drop collinear interior vertices? keep exact: fine as is
@@ -620,7 +624,9 @@ class PLSurface:
                 raise NotGeneric("surface self-intersection between %d and %d" % (i, j))
 
 
-def _point_key(p):
+def point_key(p):
+    """The (numerator, denominator) ints of a rational point: they name it
+    exactly and hash far cheaper than its Fractions."""
     x, y, z = p
     return (x.numerator, x.denominator, y.numerator, y.denominator,
             z.numerator, z.denominator)
@@ -679,11 +685,11 @@ class BoxIndex:
 # signed curve-surface intersection counts
 
 
-def _segment_crossings(seg, surface, index):
+def _segment_crossings(seg, surface):
     """Yield (t, point, sign, tri_index) for transversal pierces of one
     segment."""
     Ds, S = lift(seg)
-    for ti in index.query(_bbox(seg)):
+    for ti in surface.index.query(_bbox(seg)):
         Dt, T, _ = surface.lifted[ti]
         D, (p0, p1), T = _common(Ds, S, Dt, T)
         n, k = _plane(T)
@@ -708,14 +714,12 @@ def _segment_crossings(seg, surface, index):
         yield Q(d0, d0 - d1), _rational((X, W, None), D), (1 if s0 < 0 else -1), ti
 
 
-def curve_surface_crossings(curve, surface, index=None):
+def curve_surface_crossings(curve, surface):
     """All transversal pierce events of a PLCurve through a PLSurface,
     as (position, point, sign, triangle index) sorted along the curve."""
-    if index is None:
-        index = surface.index
     events = []
     for si, seg in enumerate(curve.segments()):
-        for t, x, s, ti in _segment_crossings(seg, surface, index):
+        for t, x, s, ti in _segment_crossings(seg, surface):
             if x == seg[0] or x == seg[1]:
                 raise NotGeneric("pierce at a curve vertex")
             events.append((Q(si) + t, x, s, ti))
@@ -723,9 +727,9 @@ def curve_surface_crossings(curve, surface, index=None):
     return events
 
 
-def curve_surface_count(curve, surface, index=None):
+def curve_surface_count(curve, surface):
     """Signed count of pierces; +1 per negative-to-positive-side crossing."""
-    return sum(s for _, _, s, _ in curve_surface_crossings(curve, surface, index))
+    return sum(s for _, _, s, _ in curve_surface_crossings(curve, surface))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .errors import NonzeroLinking, NotGeneric, StuckTrace
 from .plgeom import (
     PLCurve,
     curve_surface_crossings,
+    point_key,
     tri_normal,
     triangle_triangle,
     v_cross,
@@ -80,13 +81,17 @@ class DerivedBoundary:
 # surface-surface intersection curves
 
 
-def surface_intersection(F_a, F_b, pair=(0, 0), index_b=None):
-    """Connected oriented components of the point set F_a meet F_b."""
-    if index_b is None:
-        index_b = F_b.index
-    raw = {}
+def surface_intersection(F_a, F_b, pair=(0, 0)):
+    """Connected oriented components of the point set F_a meet F_b.
+
+    Arcs come first, sorted by their first point, then circles, each
+    starting at its least vertex, in the order of those vertices.  Points
+    are keyed on the integers of ``point_key`` and compared as rationals
+    only to order the output.
+    """
+    segs = {}   # unordered key pair -> [p, q, witness triangle pairs]
     for ia, box in enumerate(F_a.index.arr):
-        for ib in index_b.query(box):
+        for ib in F_b.index.query(box):
             r = triangle_triangle(F_a.lifted[ia], F_b.lifted[ib])
             if r[0] == "empty":
                 continue
@@ -96,80 +101,112 @@ def surface_intersection(F_a, F_b, pair=(0, 0), index_b=None):
                 # tolerated only when a curve endpoint lands on a triangle
                 # corner of the *other* pair member; real isolated contact
                 # shows up as an unmatched key below
-                key = (r[1], r[1])
-                raw.setdefault(key, []).append((ia, ib, None))
-                continue
-            p, q = r[1]
-            key = (p, q) if (p < q) else (q, p)
-            raw.setdefault(key, []).append((ia, ib, (p, q)))
+                p = q = r[1]
+            else:
+                p, q = r[1]
+            kp, kq = point_key(p), point_key(q)
+            key = (kp, kq) if kp <= kq else (kq, kp)
+            segs.setdefault(key, [p, q, []])[2].append((ia, ib))
 
-    oriented = {}
-    for key, wits in raw.items():
-        if key[0] == key[1]:
+    oriented = []
+    for (kp, kq), (p, q, wits) in segs.items():
+        if kp == kq:
             continue  # point contacts are re-validated at stitch time
+        d = v_sub(q, p)
         dirs = set()
-        for ia, ib, _seg in wits:
+        for ia, ib in wits:
             # integer normals: positive multiples of the rational ones
             na = tri_normal(F_a.lifted[ia].verts)
             nb = tri_normal(F_b.lifted[ib].verts)
-            s = sign(v_dot(v_cross(na, nb), v_sub(key[1], key[0])))
+            s = sign(v_dot(v_cross(na, nb), d))
             if s == 0:
                 raise NotGeneric("tangential surface contact")
             dirs.add(s)
         if len(dirs) != 1:
             raise NotGeneric("inconsistent orientation along intersection")
-        p, q = key if dirs.pop() > 0 else (key[1], key[0])
-        oriented[(p, q)] = True
+        oriented.append((p, q) if dirs.pop() > 0 else (q, p))
 
     # stitch oriented segments into chains
+    at = {}
     nxt = {}
     prv = {}
-    for (p, q) in oriented:
-        if p in nxt or q in prv:
+    for p, q in oriented:
+        kp, kq = point_key(p), point_key(q)
+        if kp in nxt or kq in prv:
             raise NotGeneric("branching intersection set")
-        nxt[p] = q
-        prv[q] = p
-    for key in raw:
-        if key[0] == key[1] and key[0] not in nxt and key[0] not in prv:
+        nxt[kp] = kq
+        prv[kq] = kp
+        at[kp], at[kq] = p, q
+    for kp, kq in segs:
+        if kp == kq and kp not in at:
             raise NotGeneric("isolated surface contact point")
 
-    curves = []
-    starts = sorted(p for p in nxt if p not in prv)
+    out = []
     seen = set()
-    for p in starts:
-        chain = [p]
-        while p in nxt:
-            seen.add(p)
-            p = nxt[p]
-            chain.append(p)
-        seen.add(p)
-        curves.append(("arc", chain))
-    for p in sorted(nxt):
-        if p in seen:
+    for k in sorted((k for k in nxt if k not in prv), key=at.__getitem__):
+        chain = [at[k]]
+        while k in nxt:
+            seen.add(k)
+            k = nxt[k]
+            chain.append(at[k])
+        seen.add(k)
+        out.append(IntersectionCurve(points=tuple(chain), kind="arc", ends=(), pair=pair))
+    for k in sorted(nxt, key=at.__getitem__):
+        if k in seen:
             continue
-        chain = [p]
-        cur = nxt[p]
-        seen.add(p)
-        while cur != p:
-            chain.append(cur)
+        chain = [at[k]]
+        seen.add(k)
+        cur = nxt[k]
+        while cur != k:
+            chain.append(at[cur])
             seen.add(cur)
             cur = nxt[cur]
-        curves.append(("circle", chain))
-    out = []
-    for kind, chain in curves:
-        out.append(
-            IntersectionCurve(points=tuple(chain), kind=kind, ends=(), pair=pair)
-        )
+        out.append(IntersectionCurve(points=tuple(chain), kind="circle", ends=(), pair=pair))
     return out
+
+
+def reversed_intersection(curves, pair):
+    """``surface_intersection(F_b, F_a, pair)`` from the curves of
+    ``surface_intersection(F_a, F_b)``.
+
+    Swapping the surfaces negates n_a x n_b, so every curve runs backwards:
+    arcs are reversed and re-sorted by their new first point, circles keep
+    their least vertex as the start and run the other way round.
+    """
+    arcs = sorted((c.points[::-1] for c in curves if c.kind == "arc"),
+                  key=lambda pts: pts[0])
+    return [
+        IntersectionCurve(points=pts, kind="arc", ends=(), pair=pair) for pts in arcs
+    ] + [
+        IntersectionCurve(points=c.points[:1] + c.points[:0:-1], kind="circle",
+                          ends=(), pair=pair)
+        for c in curves if c.kind == "circle"
+    ]
+
+
+def embedded_intersection(e, a, b):
+    """``surface_intersection(F_a, F_b)`` of an embedding.
+
+    Each unordered pair is intersected once, as (lo, hi) with lo < hi, and
+    kept in ``e.intersections``; the (hi, lo) curves are its reversal.  A
+    NotGeneric propagates before anything is stored, and the rebuild of
+    ``embed.measured`` is a fresh embedding with an empty cache.
+    """
+    lo, hi = min(a, b), max(a, b)
+    curves = e.intersections.get((lo, hi))
+    if curves is None:
+        curves = surface_intersection(e.surfaces[lo], e.surfaces[hi], pair=(lo, hi))
+        e.intersections[(lo, hi)] = curves
+    return list(curves) if a < b else reversed_intersection(curves, (a, b))
 
 
 # ---------------------------------------------------------------------------
 # pierce points
 
 
-def pierce_points(K_a, F_b, component=0, index_b=None):
+def pierce_points(K_a, F_b, component=0):
     """Transversal pierces of K_a through F_b with exact labels."""
-    events = curve_surface_crossings(K_a, F_b, index_b)
+    events = curve_surface_crossings(K_a, F_b)
     return [
         PiercePoint(location=x, label=s, component=component, position=pos, triangle=ti)
         for pos, x, s, ti in events
@@ -192,16 +229,22 @@ def _next_after(positions, pos, ok, stuck):
     raise StuckTrace(stuck)
 
 
-def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0), index_b=None):
+def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0)):
     """Derived boundary of the ordered pair, on explicit curves/surfaces."""
+    return _trace(K_a, K_b, F_b, pair, lambda: surface_intersection(F_a, F_b, pair))
+
+
+def _trace(K_a, K_b, F_b, pair, intersect):
+    """Derived boundary from the pierces of K_a through F_b and the
+    intersection curves that `intersect()` returns."""
     a_id, b_id = pair
-    pierces = pierce_points(K_a, F_b, component=a_id, index_b=index_b)
+    pierces = pierce_points(K_a, F_b, component=a_id)
     if sum(p.label for p in pierces) != 0:
         raise NonzeroLinking(
             "pierce labels of pair %r sum to %d"
             % (pair, sum(p.label for p in pierces))
         )
-    curves = surface_intersection(F_a, F_b, pair=pair, index_b=index_b)
+    curves = intersect()
 
     pierce_at = {p.location: p for p in pierces}
     arcs = []
@@ -365,7 +408,5 @@ def trace_derived_boundary(e, a, b):
         raise NonzeroLinking(
             "lk(%d,%d) = %d" % (a, b, e.diagram.linking_number(a, b))
         )
-    return trace_pair(
-        e.curves[a], e.curves[b], e.surfaces[a], e.surfaces[b],
-        pair=(a, b), index_b=e.surface_index(b),
-    )
+    return _trace(e.curves[a], e.curves[b], e.surfaces[b], (a, b),
+                  lambda: embedded_intersection(e, a, b))

@@ -99,9 +99,7 @@ def test_criterion_5_choice_and_framing_independence(oracle_embeddings):
         db23 = trace_derived_boundary(e, 2, 3)
         base_first = first_term(e, db23, 1)
         for m in (2, 3):
-            extra = curve_surface_count(
-                e.curves[m], e.surfaces[1], e.surface_index(1)
-            )
+            extra = curve_surface_count(e.curves[m], e.surfaces[1])
             assert base_first + extra == base_first, name
             checked += 1
         db12 = trace_derived_boundary(e, 1, 2)

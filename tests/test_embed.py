@@ -10,7 +10,9 @@ import pytest
 from masseylink.diagram import parse_pd
 from masseylink.drawing import draw_diagram, point_in_polygon
 from masseylink.embed import (
+    _essential_vertices,
     _locals_cache,
+    _same_cycle,
     _wall_and_polygon,
     boundary_torus,
     build_embedding,
@@ -162,10 +164,7 @@ def test_pairwise_surfaces_generic(e_borromean):
 
     for (a, b) in ((1, 2), (2, 3), (1, 3)):
         curves = surface_intersection(
-            e_borromean.surfaces[a],
-            e_borromean.surfaces[b],
-            pair=(a, b),
-            index_b=e_borromean.surface_index(b),
+            e_borromean.surfaces[a], e_borromean.surfaces[b], pair=(a, b)
         )
         for c in curves:
             assert c.kind in ("arc", "circle")
@@ -266,6 +265,21 @@ def test_band_through_a_disk_is_still_caught():
     assert kinds == {"band", "disk"}
 
 
+def test_essential_vertices_skip_collinear_subdivisions():
+    # a unit square with two sides subdivided at points of other
+    # denominators: only its corners are essential, and it is the same
+    # cycle as the plain square started elsewhere, not its reverse
+    sq = [P(0, 0, 0), P(Q(1, 3), 0, 0), P(1, 0, 0), P(1, Q(5, 7), 0),
+          P(1, 1, 0), P(0, 1, 0)]
+    assert _essential_vertices(sq) == [sq[0], sq[2], sq[4], sq[5]]
+    plain = PLCurve([P(1, 1, 0), P(0, 1, 0), P(0, 0, 0), P(1, 0, 0)])
+    assert _same_cycle(PLCurve(sq), plain)
+    assert not _same_cycle(PLCurve(sq), plain.reversed())
+    # a vertex 2**-100 off the line through its neighbours is kept
+    bent = [P(0, 0, 0), P(Q(1, 2), 0, Q(1, 2**100)), P(1, 0, 0), P(0, 1, 0)]
+    assert _essential_vertices(bent) == bent
+
+
 # -- tubes, meridians, pushoffs ----------------------------------------------
 
 
@@ -279,12 +293,7 @@ def test_square_unknot_torus_chi_zero():
 def test_meridian_links_once(e_borromean):
     for i in (1, 2, 3):
         mu = meridian(e_borromean, i)
-        assert (
-            curve_surface_count(
-                mu, e_borromean.surfaces[i], e_borromean.surface_index(i)
-            )
-            == 1
-        )
+        assert curve_surface_count(mu, e_borromean.surfaces[i]) == 1
 
 
 def test_tube_too_large_raises():
@@ -301,7 +310,4 @@ def test_tube_must_clear_other_components(e_hopf):
 def test_pushoff_cycle_links_like_the_curve(e_hopf):
     # blackboard pushoff of K_1 still links K_2 once
     po = pushoff_cycle(e_hopf.curves[1], e_hopf.tube_radius)
-    assert (
-        curve_surface_count(po, e_hopf.surfaces[2], e_hopf.surface_index(2))
-        == 1
-    )
+    assert curve_surface_count(po, e_hopf.surfaces[2]) == 1

@@ -1,10 +1,21 @@
+import dataclasses
+import random
+from functools import lru_cache
+from itertools import permutations
+
 import pytest
 
-from masseylink.errors import NonzeroLinking
+from masseylink import trace
+from masseylink.embed import build_embedding
+from masseylink.errors import NonzeroLinking, NotGeneric
+from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
+from masseylink.massey import massey3
 from masseylink.plgeom import PLCurve, PLSurface, qpoint as P, v_sub, v_cross, v_dot
 from masseylink.rational import Q, sign
 from masseylink.trace import (
+    embedded_intersection,
     pierce_points,
+    reversed_intersection,
     surface_intersection,
     trace_derived_boundary,
     trace_pair,
@@ -123,10 +134,7 @@ def test_borromean_pairs_trace_totally(e_borromean):
 def test_borromean_interior_arcs_match_surface_intersection(e_borromean):
     db = trace_derived_boundary(e_borromean, 2, 3)
     curves = surface_intersection(
-        e_borromean.surfaces[2],
-        e_borromean.surfaces[3],
-        pair=(2, 3),
-        index_b=e_borromean.surface_index(3),
+        e_borromean.surfaces[2], e_borromean.surfaces[3], pair=(2, 3)
     )
     arcs = {c.points for c in curves if c.kind == "arc"}
     traced = {
@@ -138,18 +146,116 @@ def test_borromean_interior_arcs_match_surface_intersection(e_borromean):
     assert traced == arcs
 
 
-def test_pair_reversal_negates_arcs_on_embedding(e_borromean):
-    c23 = surface_intersection(
-        e_borromean.surfaces[2], e_borromean.surfaces[3], pair=(2, 3),
-        index_b=e_borromean.surface_index(3),
+def _zero_linking_closures(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        word = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(6, 12)))
+        d = braid_closure(word, 3)
+        if d.n_components == 3 and not any(
+                d.linking_number(a, b) for a, b in ((1, 2), (2, 3), (1, 3))):
+            out.append(("closure%s" % (word,), d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cases():
+    """(name, embedding): every fixture, clasp_family(1), (2) and seeded
+    zero-linking closures, each built once for this module."""
+    diagrams = (
+        [(name, load_fixture(name)) for name in fixture_names()]
+        + [("clasp_family(%d)" % k, clasp_family(k)) for k in (1, 2)]
+        + _zero_linking_closures(4, seed=9151)
     )
-    c32 = surface_intersection(
-        e_borromean.surfaces[3], e_borromean.surfaces[2], pair=(3, 2),
-        index_b=e_borromean.surface_index(2),
-    )
-    fwd = sorted(c.points for c in c23)
-    rev = sorted(tuple(reversed(c.points)) for c in c32)
-    assert fwd == rev
+    return [(name, build_embedding(d)) for name, d in diagrams]
+
+
+def _ordered_pairs(e):
+    return list(permutations(sorted(e.curves), 2))
+
+
+def test_pair_reversal_negates_arcs_on_embedding():
+    # the curves of (b, a) are exactly those of (a, b) reversed, list for
+    # list, and the embedding serves both from one intersection
+    checked = 0
+    for name, e in _cases():
+        pairs = [(a, b) for a, b in _ordered_pairs(e) if a < b]
+        for a, b in pairs:
+            ab = surface_intersection(e.surfaces[a], e.surfaces[b], pair=(a, b))
+            ba = surface_intersection(e.surfaces[b], e.surfaces[a], pair=(b, a))
+            assert reversed_intersection(ab, (b, a)) == ba, (name, a, b)
+            assert reversed_intersection(ba, (a, b)) == ab, (name, a, b)
+            assert embedded_intersection(e, b, a) == ba, (name, a, b)
+            assert embedded_intersection(e, a, b) == ab, (name, a, b)
+            checked += len(ab)
+        assert sorted(e.intersections) == pairs, name
+    assert checked > 0
+
+
+def test_cached_trace_equals_uncached_trace():
+    traced = 0
+    for name, e in _cases():
+        for a, b in _ordered_pairs(e):
+            if e.diagram.linking_number(a, b):
+                continue
+            uncached = trace_pair(e.curves[a], e.curves[b], e.surfaces[a],
+                                  e.surfaces[b], pair=(a, b))
+            assert trace_derived_boundary(e, a, b) == uncached, (name, a, b)
+            traced += bool(uncached.loops)
+    assert traced > 0
+
+
+def _count_intersections(monkeypatch, fail_first=False):
+    calls = []
+    orig = trace.surface_intersection
+
+    def counting(F_a, F_b, pair=(0, 0)):
+        calls.append(pair)
+        if fail_first and len(calls) == 1:
+            raise NotGeneric("forced degeneracy")
+        return orig(F_a, F_b, pair)
+
+    monkeypatch.setattr(trace, "surface_intersection", counting)
+    return calls
+
+
+def test_six_orderings_intersect_each_pair_once(borromean, monkeypatch):
+    e = build_embedding(borromean)
+    calls = _count_intersections(monkeypatch)
+    values = {o: massey3(e, o).value for o in permutations((1, 2, 3))}
+    assert sorted(calls) == [(1, 2), (1, 3), (2, 3)]
+    assert set(values.values()) == {1, -1}
+
+
+def test_not_generic_intersection_is_not_cached(borromean, monkeypatch):
+    e = build_embedding(borromean)
+    calls = _count_intersections(monkeypatch, fail_first=True)
+    with pytest.raises(NotGeneric, match="forced"):
+        trace_derived_boundary(e, 2, 1)
+    assert e.intersections == {}
+    db = trace_derived_boundary(e, 2, 1)
+    assert calls == [(1, 2), (1, 2)]
+    assert list(e.intersections) == [(1, 2)]
+    assert db == trace_pair(e.curves[2], e.curves[1], e.surfaces[2],
+                            e.surfaces[1], pair=(2, 1))
+
+
+def test_retry_after_not_generic_rebuilds_with_empty_cache(borromean, monkeypatch):
+    e = build_embedding(borromean)
+    calls = _count_intersections(monkeypatch, fail_first=True)
+    r = massey3(e, (1, 2, 3))
+    assert e.intersections == {}
+    assert r.embedding is not e and r.embedding.perturb_index == 1
+    assert sorted(r.embedding.intersections) == [(1, 2), (2, 3)]
+    assert len(calls) == 3
+    assert (r.term_first, r.term_second) == (1, 0)
+
+
+def test_replaced_embedding_starts_with_empty_cache(borromean):
+    e = build_embedding(borromean)
+    trace_derived_boundary(e, 1, 2)
+    assert list(e.intersections) == [(1, 2)]
+    assert dataclasses.replace(e).intersections == {}
 
 
 def test_trace_pierces_are_consumed_once(e_borromean):
@@ -172,10 +278,7 @@ def test_nonzero_linking_rejected(e_hopf):
 
 
 def test_hopf_pierce_labels_sum_to_linking(e_hopf):
-    ps = pierce_points(
-        e_hopf.curves[1], e_hopf.surfaces[2], component=1,
-        index_b=e_hopf.surface_index(2),
-    )
+    ps = pierce_points(e_hopf.curves[1], e_hopf.surfaces[2], component=1)
     assert sum(p.label for p in ps) == e_hopf.diagram.linking_number(1, 2) == 1
     assert len(ps) == 1 and ps[0].label == 1
 
@@ -187,14 +290,27 @@ def test_pierce_labels_match_crossing_signs(e_borromean):
             if a == b:
                 continue
             ps = pierce_points(
-                e_borromean.curves[a], e_borromean.surfaces[b], component=a,
-                index_b=e_borromean.surface_index(b),
+                e_borromean.curves[a], e_borromean.surfaces[b], component=a
             )
             signs = sorted(
                 x.sign for x in d.crossings
                 if x.under_component == a and x.over_component == b
             )
             assert sorted(p.label for p in ps) == signs
+
+
+def _square_tube(cx, cy, h):
+    """Walls of a vertical square tube over [cx-h, cx+h] x [cy-h, cy+h],
+    from z = -1 to z = 1, and its top rim."""
+    corners = [P(cx - h, cy - h, 0), P(cx + h, cy - h, 0),
+               P(cx + h, cy + h, 0), P(cx - h, cy + h, 0)]
+    lift = lambda p, z: (p[0], p[1], Q(z))
+    walls = []
+    for k in range(4):
+        p, q = corners[k], corners[(k + 1) % 4]
+        walls.append((lift(p, -1), lift(q, -1), lift(q, 1)))
+        walls.append((lift(p, -1), lift(q, 1), lift(p, 1)))
+    return walls, PLCurve([lift(p, 1) for p in corners], closed=True)
 
 
 def test_circle_component_becomes_standalone_loop():
@@ -207,15 +323,8 @@ def test_circle_component_becomes_standalone_loop():
     )
     a, b, c, d = rim.vertices
     disk = PLSurface([(a, b, c), (a, c, d)])
-    walls = []
-    corners = [P(-2, -2, 0), P(2, -2, 0), P(2, 2, 0), P(-2, 2, 0)]
-    lift = lambda p, z: (p[0], p[1], Q(z))
-    for k in range(4):
-        p, q = corners[k], corners[(k + 1) % 4]
-        walls.append((lift(p, -1), lift(q, -1), lift(q, 1)))
-        walls.append((lift(p, -1), lift(q, 1), lift(p, 1)))
+    walls, top_rim = _square_tube(0, 0, 2)
     tube = PLSurface(walls)
-    top_rim = PLCurve([lift(p, 1) for p in corners], closed=True)
     db = trace_pair(rim, top_rim, disk, tube, pair=(1, 2))
     assert len(db.loops) == 1
     (loop,) = db.loops
@@ -223,10 +332,25 @@ def test_circle_component_becomes_standalone_loop():
     assert db.pierce_points == ()
 
 
-def test_split_pair_traces_empty():
-    from masseylink.embed import build_embedding
-    from masseylink.fixtures import load_fixture
+def test_reversal_rule_on_arcs_and_circles():
+    # two tubes and two upright squares through a horizontal disk meet it
+    # in two circles and two arcs
+    disk = _square(P(0, 0, 0), (8, 0, 0), (0, 8, 0))
+    tris = _square_tube(-3, -3, 1)[0] + _square_tube(3, 2, 1)[0]
+    tris += _square(P(0, 4, 0), (6, 1, 0), (0, 0, 1)).triangles
+    tris += _square(P(4, -4, 0), (2, -1, 0), (0, 0, 1)).triangles
+    other = PLSurface(tris)
+    ab = surface_intersection(disk, other, pair=(1, 2))
+    ba = surface_intersection(other, disk, pair=(2, 1))
+    assert [c.kind for c in ab] == ["arc", "arc", "circle", "circle"]
+    for c in ab + ba:
+        if c.kind == "circle":
+            assert c.points[0] == min(c.points)
+    assert reversed_intersection(ab, (2, 1)) == ba
+    assert reversed_intersection(ba, (1, 2)) == ab
 
+
+def test_split_pair_traces_empty():
     e = build_embedding(load_fixture("unlink3"))
     db = trace_derived_boundary(e, 1, 2)
     assert db.loops == ()
