@@ -45,6 +45,9 @@ class LinkDiagram:
     crossings: tuple      # tuple of Crossing
     comment: str = ""
     _arc_comp: dict = field(default_factory=dict, repr=False, compare=False)
+    # arc -> ((crossing, slot) the arc leaves, (crossing, slot) it enters);
+    # crossingless components have no entry
+    arc_ends: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = {}
@@ -52,6 +55,13 @@ class LinkDiagram:
             for a in arcs:
                 m[a] = ci + 1
         object.__setattr__(self, "_arc_comp", m)
+        ends = {}
+        for idx, x in enumerate(self.crossings):
+            a, b, c, d = x.slots
+            over = (3, 1) if (x.over_in, x.over_out) == (d, b) else (1, 3)
+            for slot, end in ((0, 1), (2, 0), (over[0], 1), (over[1], 0)):
+                ends.setdefault(x.slots[slot], [None, None])[end] = (idx, slot)
+        object.__setattr__(self, "arc_ends", {a: tuple(e) for a, e in ends.items()})
 
     # -- basic queries ----------------------------------------------------
 
@@ -65,11 +75,6 @@ class LinkDiagram:
 
     def arc_component(self, arc):
         return self._arc_comp[arc]
-
-    def next_arc(self, arc):
-        arcs = self.components[self.arc_component(arc) - 1]
-        k = arcs.index(arc)
-        return arcs[(k + 1) % len(arcs)]
 
     def self_crossings(self, i):
         self._check_component(i)
@@ -88,6 +93,42 @@ class LinkDiagram:
 
     def writhe(self, i):
         return sum(x.sign for x in self.self_crossings(i))
+
+    def smoothed_cycles(self, arcs, smoothed):
+        """Cycles through `arcs`, smoothing the crossings in `smoothed`.
+
+        Each cycle starts at its least arc and lists ("arc", a) for every
+        arc, each followed by a step through the crossing x the arc enters
+        as strand role "U" (under) or "O" (over): ("pass", x, role) keeps
+        to the strand, and ("bypass", x, role) at a crossing in `smoothed`
+        turns onto the other strand's outgoing arc, the orientation
+        respecting smoothing.  With every crossing smoothed the cycles are
+        the Seifert circles; with none, the components.
+        """
+        todo = set(arcs)
+        cycles = []
+        while todo:
+            a0 = min(todo)
+            steps = []
+            a = a0
+            while True:
+                todo.discard(a)
+                steps.append(("arc", a))
+                if a not in self.arc_ends:
+                    break  # crossingless unknot component
+                xi, slot = self.arc_ends[a][1]
+                x = self.crossings[xi]
+                role = "U" if slot == 0 else "O"
+                if xi in smoothed:
+                    steps.append(("bypass", xi, role))
+                    a = x.over_out if role == "U" else x.under_out
+                else:
+                    steps.append(("pass", xi, role))
+                    a = x.under_out if role == "U" else x.over_out
+                if a == a0:
+                    break
+            cycles.append(steps)
+        return cycles
 
     def _check_component(self, i):
         if not (1 <= i <= self.n_components):
@@ -378,18 +419,13 @@ def parse_gauss(text):
 
 def export_gauss(d):
     """Gauss code of a diagram; inverse of parse_gauss up to relabeling."""
-    # map arc -> (crossing index, role) at which the arc ends
-    ends = {}
-    for idx, x in enumerate(d.crossings):
-        ends[x.under_in] = (idx, "U")
-        ends[x.over_in] = (idx, "O")
     chunks = []
     for arcs in d.components:
         toks = []
         for a in arcs:
-            if a in ends:
-                idx, role = ends[a]
+            if a in d.arc_ends:
+                idx, slot = d.arc_ends[a][1]
                 s = "+" if d.crossings[idx].sign > 0 else "-"
-                toks.append("%s%d%s" % (role, idx + 1, s))
+                toks.append("%s%d%s" % ("U" if slot == 0 else "O", idx + 1, s))
         chunks.append(" ".join(toks))
     return " ; ".join(chunks)

@@ -107,35 +107,14 @@ def dist2_point_seg(p, a, b):
 # combinatorial map
 
 
-def _arc_ends(d):
-    """arc -> {"out": (crossing_idx, slot), "in": (crossing_idx, slot)}."""
-    ends = {}
-    for idx, x in enumerate(d.crossings):
-        a, b, c_, dd = x.slots
-        ends.setdefault(a, {})["in"] = (idx, 0)
-        ends.setdefault(c_, {})["out"] = (idx, 2)
-        slot_b_arc, slot_d_arc = b, dd
-        if x.over_in == slot_d_arc and x.over_out == slot_b_arc:
-            ends.setdefault(dd, {})["in"] = (idx, 3)
-            ends.setdefault(b, {})["out"] = (idx, 1)
-        else:
-            ends.setdefault(b, {})["in"] = (idx, 1)
-            ends.setdefault(dd, {})["out"] = (idx, 3)
-    return ends
-
-
 def _build_subdivided_graph(d, arcs):
     """Rotation lists of the 2-point subdivision (a simple graph)."""
-    ends = _arc_ends(d)
     rot = {}
     for arc in arcs:
-        for key in ("out", "in"):
-            xo, _ = ends[arc][key]
+        for xo, _ in d.arc_ends[arc]:
             rot.setdefault(("x", xo), [None] * 4)
     for arc in arcs:
-        e = ends[arc]
-        xo, so = e["out"]
-        xi, si = e["in"]
+        (xo, so), (xi, si) = d.arc_ends[arc]
         n0, n1 = ("s", arc, 0), ("s", arc, 1)
         rot[("x", xo)][so] = n0
         rot[("x", xi)][si] = n1
@@ -310,15 +289,12 @@ def _tutte_positions(rot, faces, outer, seed_scale):
 
 def _verify_positions(d, arcs, rot, pos):
     """Exact validity check of snapped positions; returns chirality or None."""
-    ends = _arc_ends(d)
     if len(set(pos.values())) != len(pos):
         return None
     # arc polylines in snapped coordinates
     paths = {}
     for arc in arcs:
-        e = ends[arc]
-        xo, _ = e["out"]
-        xi, _ = e["in"]
+        (xo, _), (xi, _) = d.arc_ends[arc]
         paths[arc] = [
             pos[("x", xo)],
             pos[("s", arc, 0)],
@@ -436,13 +412,54 @@ class CrossingGeometry:
     over_path: tuple
 
 
+def _chord_point(chord, t):
+    a, b = chord
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+def _chord_param(chord, p):
+    a, b = chord
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if abs(dx) >= abs(dy):
+        return Q(p[0] - a[0], dx)
+    return Q(p[1] - a[1], dy)
+
+
+class CrossingStations:
+    """Named points of one crossing: dip stations and smoothing stations."""
+
+    def __init__(self, geo):
+        self.geo = geo
+        Y = geo.point
+        tU = _chord_param(geo.under_chord, Y)
+        tO = _chord_param(geo.over_chord, Y)
+        lam = min(tU, 1 - tU) / 4
+        u = geo.under_chord
+        self.Y = Y
+        self.u_m_in = _chord_point(u, tU / 2)
+        self.u_m_out = _chord_point(u, (1 + tU) / 2)
+        self.u_A = _chord_point(u, tU - lam)
+        self.u_D1 = _chord_point(u, tU - lam / 2)
+        self.u_D2 = _chord_point(u, tU + lam / 2)
+        self.u_B = _chord_point(u, tU + lam)
+        o = geo.over_chord
+        self.o_m_in = _chord_point(o, tO / 2)
+        self.o_m_out = _chord_point(o, (1 + tO) / 2)
+        self.o_P = [
+            _chord_point(o, 3 * tO / 4),
+            _chord_point(o, 7 * tO / 8),
+            _chord_point(o, tO + (1 - tO) / 8),
+            _chord_point(o, tO + (1 - tO) / 4),
+        ]
+
+
 @dataclass(frozen=True)
 class Drawing:
     diagram: object
     scale: object                 # rational multiplier from snapped ints
     arc_paths: dict               # arc -> list of 2D rational points
     crossing_geo: tuple           # CrossingGeometry per crossing
-    footprints: dict              # component id -> list of steps
+    stations: tuple               # CrossingStations per crossing
 
 
 _DIAMOND = Q(2)  # diamond radius in snapped units, < sqrt(_MIN_CLEAR2)/2
@@ -517,9 +534,6 @@ def draw_diagram(d, grid_scale=1):
     # split the diagram graph into connected pieces (components of the
     # 4-valent graph; crossingless unknot components are their own pieces)
     comp_ids = list(range(1, d.n_components + 1))
-    piece_of = {}
-    for ci in comp_ids:
-        piece_of[ci] = None
     # union components sharing a crossing
     parent = {ci: ci for ci in comp_ids}
 
@@ -535,6 +549,25 @@ def draw_diagram(d, grid_scale=1):
     pieces = {}
     for ci in comp_ids:
         pieces.setdefault(find(ci), []).append(ci)
+
+    # outer face: touched by the fewest smoothed circles (an outermost
+    # region, matching the standard pictures), then the longest walk;
+    # alternatives are retried because the outer choice governs how thin
+    # the squeezed regions of the relaxation get
+    circle_of = {
+        step[1]: k
+        for k, steps in enumerate(d.smoothed_cycles(d.arc_ends, range(len(d.crossings))))
+        for step in steps if step[0] == "arc"
+    }
+
+    def face_key(face):
+        touched = set()
+        for (u, k) in face:
+            if u[0] == "s":
+                touched.add(circle_of[u[1]])
+            else:
+                touched.add(circle_of[d.crossings[u[1]].slots[k]])
+        return (len(touched), -len(face))
 
     all_pos = {}
     geo = [None] * len(d.crossings)
@@ -578,21 +611,6 @@ def draw_diagram(d, grid_scale=1):
         # relaxation; virtual chords split their faces first
         rot = _split_repeated_faces(rot)
         faces = _trace_faces(rot)
-        # outer face: touched by the fewest smoothed circles (an outermost
-        # region, matching the standard pictures), then the longest walk;
-        # alternatives are retried because the outer choice governs how
-        # thin the squeezed regions of the relaxation get
-        circle_of = _smoothed_circle_of_arc(d)
-
-        def face_key(face):
-            touched = set()
-            for (u, k) in face:
-                if u[0] == "s":
-                    touched.add(circle_of[u[1]])
-                else:
-                    touched.add(circle_of[d.crossings[u[1]].slots[k]])
-            return (len(touched), -len(face))
-
         candidates = sorted(faces, key=face_key)[:4]
         pos = None
         for attempt in range(4):
@@ -620,20 +638,18 @@ def draw_diagram(d, grid_scale=1):
         offset_x += (maxx - minx + margin) * unit
 
     # ports, chords and passages at every crossing
-    ends = _arc_ends(d)
     for idx, x in enumerate(d.crossings):
         X = all_pos[("x", idx)]
         exits = []
-        for k in range(4):
-            arc, end = _slot_arc(d, idx, k, ends)
-            nbr = ("s", arc, 0 if end == "out" else 1)
+        for k, arc in enumerate(x.slots):
+            nbr = ("s", arc, 1 if d.arc_ends[arc][1] == (idx, k) else 0)
             exits.append(_diamond_exit(X, all_pos[nbr], _DIAMOND * unit))
         local = _crossing_local_geometry(X, exits, _DIAMOND * unit / 4)
         if local is None:
             raise EmbeddingDegenerate("could not finish crossing %d locally" % idx)
         ports, Y = local
-        _, role1 = _slot_arc(d, idx, 1, ends)
-        oin_slot, oout_slot = (1, 3) if role1 == "in" else (3, 1)
+        oin_slot = d.arc_ends[x.over_in][1][1]
+        oout_slot = d.arc_ends[x.over_out][0][1]
         geo[idx] = CrossingGeometry(
             center=X,
             point=Y,
@@ -643,10 +659,7 @@ def draw_diagram(d, grid_scale=1):
             over_path=(exits[oin_slot], ports[oin_slot], ports[oout_slot], exits[oout_slot]),
         )
 
-    for arc in ends:
-        e = ends[arc]
-        xo, so = e["out"]
-        xi, si = e["in"]
+    for arc, ((xo, so), (xi, si)) in d.arc_ends.items():
         g_out, g_in = geo[xo], geo[xi]
         start = g_out.under_path[3] if so == 2 else g_out.over_path[3]
         stop = g_in.under_path[0] if si == 0 else g_in.over_path[0]
@@ -657,54 +670,13 @@ def draw_diagram(d, grid_scale=1):
             stop,
         ]
 
-    footprints = {}
-    for ci in comp_ids:
-        steps = []
-        for arc in d.component_arcs(ci):
-            steps.append(("arc", arc))
-            if arc in ends:
-                idx, slot = ends[arc]["in"]
-                steps.append(("cross", idx, "U" if slot == 0 else "O"))
-        footprints[ci] = steps
     return Drawing(
         diagram=d,
         scale=unit,
         arc_paths=arc_paths,
         crossing_geo=tuple(geo),
-        footprints=footprints,
+        stations=tuple(CrossingStations(g) for g in geo),
     )
-
-
-def _smoothed_circle_of_arc(d):
-    """Combinatorial Seifert circle id of every arc (whole diagram)."""
-    nxt = {}
-    for x in d.crossings:
-        nxt[x.under_in] = x.over_out
-        nxt[x.over_in] = x.under_out
-    circle = {}
-    cid = 0
-    for arcs in d.components:
-        for a in arcs:
-            if a in circle or a not in nxt:
-                continue
-            cur = a
-            while cur not in circle:
-                circle[cur] = cid
-                cur = nxt[cur]
-            cid += 1
-    return circle
-
-
-def _slot_arc(d, idx, slot, ends):
-    """(arc, 'in'/'out') occupying a slot of a crossing."""
-    x = d.crossings[idx]
-    arc = x.slots[slot]
-    e = ends[arc]
-    if e.get("in") == (idx, slot):
-        return arc, "in"
-    if e.get("out") == (idx, slot):
-        return arc, "out"
-    raise AssertionError("slot bookkeeping broken")
 
 
 def _strictly_between(a, b, p):

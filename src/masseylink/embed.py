@@ -66,45 +66,6 @@ class SeifertStructure:
         return len(self.circles_of(i)) - len(self.bands_of(i))
 
 
-def _arc_end_roles(d):
-    """arc -> (crossing index, 'U'/'O') where the arc terminates."""
-    ends = {}
-    for idx, x in enumerate(d.crossings):
-        ends[x.under_in] = (idx, "U")
-        ends[x.over_in] = (idx, "O")
-    return ends
-
-
-def _smoothed_walk(d, arcs, smoothed):
-    """Cycles of the arc successor map with reconnection at smoothed
-    crossings; yields lists of pieces."""
-    ends = _arc_end_roles(d)
-    by_crossing = {i: x for i, x in enumerate(d.crossings)}
-    todo = set(arcs)
-    cycles = []
-    while todo:
-        a0 = min(todo)
-        pieces = []
-        a = a0
-        while True:
-            todo.discard(a)
-            pieces.append(("arc", a))
-            if a not in ends:
-                break  # crossingless unknot component
-            xi, role = ends[a]
-            x = by_crossing[xi]
-            if xi in smoothed:
-                pieces.append(("bypass", xi, role))
-                a = x.over_out if role == "U" else x.under_out
-            else:
-                pieces.append(("pass", xi, role))
-                a = x.under_out if role == "U" else x.over_out
-            if a == a0:
-                break
-        cycles.append(pieces)
-    return cycles
-
-
 def seifert_circles(d, component=None, drawing=None):
     """Orientation-respecting smoothing with geometric nesting.
 
@@ -126,12 +87,10 @@ def seifert_circles(d, component=None, drawing=None):
             if x.under_component == component and x.over_component == component
         }
         scope = component
-    cycles = _smoothed_walk(d, scope_arcs, smoothed)
-
     circles = []
-    for ci, pieces in enumerate(cycles):
+    for pieces in d.smoothed_cycles(scope_arcs, smoothed):
         comp = d.arc_component(pieces[0][1])
-        fp = _circle_footprint(d, drawing, pieces)
+        fp = [p[:2] for p in _walk(drawing, pieces, smoothed, Q(0), Q(0))]
         circles.append((comp, pieces, fp))
 
     # nesting by exact containment among circles of the same scope;
@@ -182,47 +141,6 @@ def seifert_circles(d, component=None, drawing=None):
 # per-crossing local geometry in the plane
 
 
-def _chord_point(chord, t):
-    a, b = chord
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
-
-def _chord_param(chord, p):
-    a, b = chord
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if abs(dx) >= abs(dy):
-        return Q(p[0] - a[0], dx)
-    return Q(p[1] - a[1], dy)
-
-
-class _XLocal:
-    """Named points of one crossing: dip stations and smoothing stations."""
-
-    def __init__(self, geo):
-        self.geo = geo
-        Y = geo.point
-        tU = _chord_param(geo.under_chord, Y)
-        tO = _chord_param(geo.over_chord, Y)
-        lam = min(tU, 1 - tU) / 4
-        u = geo.under_chord
-        self.Y = Y
-        self.u_m_in = _chord_point(u, tU / 2)
-        self.u_m_out = _chord_point(u, (1 + tU) / 2)
-        self.u_A = _chord_point(u, tU - lam)
-        self.u_D1 = _chord_point(u, tU - lam / 2)
-        self.u_D2 = _chord_point(u, tU + lam / 2)
-        self.u_B = _chord_point(u, tU + lam)
-        o = geo.over_chord
-        self.o_m_in = _chord_point(o, tO / 2)
-        self.o_m_out = _chord_point(o, (1 + tO) / 2)
-        self.o_P = [
-            _chord_point(o, 3 * tO / 4),
-            _chord_point(o, 7 * tO / 8),
-            _chord_point(o, tO + (1 - tO) / 8),
-            _chord_point(o, tO + (1 - tO) / 4),
-        ]
-
-
 def _passage_points(loc, role, smoothed):
     """2D waypoints of a full strand passage through a crossing."""
     g = loc.geo
@@ -264,38 +182,37 @@ def _bypass_entry(loc, role):
     )
 
 
-def _circle_footprint(d, drawing, pieces):
-    """Closed 2D polyline of a smoothing circle (z = 0 projection)."""
-    locs = _locals_cache(drawing)
+def _walk(drawing, steps, smoothed, dip, zshift):
+    """Closed 3D polyline along steps of LinkDiagram.smoothed_cycles,
+    consecutive repeats dropped.
+
+    Arcs and bypasses lie at z = 0 and an under passage dips to `dip`
+    between its D stations, all shifted by `zshift`.  A passage through a
+    crossing in `smoothed` also visits the stations its band is ruled on.
+    """
     pts = []
 
-    def push(ps):
-        for p in ps:
-            if not pts or pts[-1] != p:
-                pts.append(p)
+    def push(ps, zs):
+        for p, z in zip(ps, zs):
+            v = (p[0], p[1], z + zshift)
+            if not pts or pts[-1] != v:
+                pts.append(v)
 
-    for piece in pieces:
-        if piece[0] == "arc":
-            push(drawing.arc_paths[piece[1]])
-        elif piece[0] == "pass":
-            _, xi, role = piece
-            push(_passage_points(locs[xi], role, smoothed=False))
+    for step in steps:
+        if step[0] == "arc":
+            ps = drawing.arc_paths[step[1]]
+            push(ps, [Q(0)] * len(ps))
+        elif step[0] == "pass":
+            _, xi, role = step
+            loc = drawing.stations[xi]
+            ps = _passage_points(loc, role, smoothed=xi in smoothed)
+            push(ps, _passage_heights(loc, role, ps, dip))
         else:
-            _, xi, role = piece
-            enter, leave = _bypass_entry(locs[xi], role)
-            push(enter)
-            push(leave)
+            enter, leave = _bypass_entry(drawing.stations[step[1]], step[2])
+            push(enter + leave, [Q(0)] * (len(enter) + len(leave)))
     if pts and pts[0] == pts[-1]:
         pts.pop()
     return pts
-
-
-def _locals_cache(drawing):
-    cache = getattr(drawing, "_xlocals", None)
-    if cache is None:
-        cache = {i: _XLocal(g) for i, g in enumerate(drawing.crossing_geo)}
-        object.__setattr__(drawing, "_xlocals", cache)
-    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -371,37 +288,6 @@ class EmbeddedLink:
     # starts empty
     intersections: dict = field(
         default_factory=dict, init=False, compare=False, repr=False)
-
-    def surface_index(self, i):
-        return self.surfaces[i].index
-
-
-def _rim_points(d, drawing, locs, circle, dip, zshift):
-    """Closed 3D rim of one circle: the circle at z=0 with strand dips."""
-    pts = []
-
-    def push(ps, zs):
-        for p, z in zip(ps, zs):
-            v = (p[0], p[1], z + zshift)
-            if not pts or pts[-1] != v:
-                pts.append(v)
-
-    for piece in circle.pieces:
-        if piece[0] == "arc":
-            ps = drawing.arc_paths[piece[1]]
-            push(ps, [Q(0)] * len(ps))
-        elif piece[0] == "pass":
-            _, xi, role = piece
-            ps = _passage_points(locs[xi], role, smoothed=False)
-            push(ps, _passage_heights(locs[xi], role, ps, dip))
-        else:
-            _, xi, role = piece
-            enter, leave = _bypass_entry(locs[xi], role)
-            push(enter, [Q(0)] * len(enter))
-            push(leave, [Q(0)] * len(leave))
-    if pts and pts[0] == pts[-1]:
-        pts.pop()
-    return pts
 
 
 def _wall_and_polygon(rim, level):
@@ -503,40 +389,18 @@ def _band_triangles(loc, dip, zshift):
     return tris
 
 
-def _component_curve(d, drawing, locs, i, dip, zshift, self_smoothed):
-    pts = []
-
-    def push(ps, zs):
-        for p, z in zip(ps, zs):
-            v = (p[0], p[1], z + zshift)
-            if not pts or pts[-1] != v:
-                pts.append(v)
-
-    for step in drawing.footprints[i]:
-        if step[0] == "arc":
-            ps = drawing.arc_paths[step[1]]
-            push(ps, [Q(0)] * len(ps))
-        else:
-            _, xi, role = step
-            ps = _passage_points(locs[xi], role, smoothed=xi in self_smoothed)
-            push(ps, _passage_heights(locs[xi], role, ps, dip))
-    if pts and pts[0] == pts[-1]:
-        pts.pop()
-    return PLCurve(pts, closed=True)
-
-
 def _dist2_point_line(p, a, b):
     dx, dy = b[0] - a[0], b[1] - a[1]
     cr = dx * (p[1] - a[1]) - dy * (p[0] - a[0])
     return Q(cr * cr, dx * dx + dy * dy)
 
 
-def _tube_radius(unit, locs):
+def _tube_radius(unit, stations):
     """Largest safe framing offset: a parallel of either strand within this
     distance still crosses the other strand inside its dip interval at
     every crossing, so pushoffs pierce walls exactly where their curves do."""
     r = unit / 8
-    for loc in locs.values():
+    for loc in stations:
         o = loc.geo.over_chord
         d2 = min(
             _dist2_point_line(loc.u_A, o[0], o[1]),
@@ -555,7 +419,6 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
     """Embed the link with one Seifert surface per component."""
     drawing = draw_diagram(d, grid_scale)
     unit = drawing.scale
-    locs = _locals_cache(drawing)
     H = 24 * unit
     dip = -H / 3
     m = d.n_components
@@ -568,17 +431,18 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
         zshift = Q(i * perturb_index, 4096) * unit
         maxdepth = max((c.depth for c in st.circles), default=0)
         self_sm = {b.crossing for b in st.bands}
-        curves[i] = _component_curve(d, drawing, locs, i, dip, zshift, self_sm)
+        (steps,) = d.smoothed_cycles(d.component_arcs(i), ())
+        curves[i] = PLCurve(_walk(drawing, steps, self_sm, dip, zshift), closed=True)
         tris = []
         tags = []
         for c in st.circles:
             level = -H * (2 + (maxdepth - c.depth) + Q(i, m + 1)) + zshift
-            rim = _rim_points(d, drawing, locs, c, dip, zshift)
+            rim = _walk(drawing, c.pieces, self_sm, dip, zshift)
             t, g = _wall_and_polygon(rim, level)
             tris.extend(t)
             tags.extend("%s:%d" % (tag, c.index) for tag in g)
         for b in st.bands:
-            bt = _band_triangles(locs[b.crossing], dip, zshift)
+            bt = _band_triangles(drawing.stations[b.crossing], dip, zshift)
             tris.extend(bt)
             tags.extend(["band:%d" % b.crossing] * len(bt))
         surf = PLSurface(tris)
@@ -591,7 +455,7 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
         curves=curves,
         surfaces=surfaces,
         provenance=provenance,
-        tube_radius=_tube_radius(unit, locs) if locs else unit / 8,
+        tube_radius=_tube_radius(unit, drawing.stations),
         unit=unit,
         grid_scale=grid_scale,
         perturb_index=perturb_index,

@@ -15,7 +15,7 @@ invisible.
 from dataclasses import dataclass, field
 
 from .embed import measured, meridian, pushoff_cycle, pushoff_points
-from .errors import MasseyUndefined, NotGeneric
+from .errors import MasseyUndefined
 from .plgeom import PLCurve, curve_surface_count
 from .trace import trace_derived_boundary
 
@@ -52,20 +52,10 @@ def first_term(e, db, i):
     return sum(curve_surface_count(lc, e.surfaces[i]) for lc in db.loop_curves())
 
 
-def _along_spans(e, db, i):
+def _along_spans(db, i):
     """(pos0, pos1) spans on K_i of the along-K_i pieces of a boundary."""
-    curve = e.curves[i]
-    spans = []
-    for loop in db.loops:
-        for piece in loop:
-            if piece.kind != "along" or piece.component != i:
-                continue
-            pos0 = curve.locate(piece.points[0])
-            pos1 = curve.locate(piece.points[-1])
-            if pos0 is None or pos1 is None:
-                raise NotGeneric("along piece does not sit on its component")
-            spans.append((pos0, pos1))
-    return spans
+    return [piece.span for loop in db.loops for piece in loop
+            if piece.kind == "along" and piece.component == i]
 
 
 def _pushoff_family_count(e, spans, i, surface):
@@ -93,7 +83,7 @@ def second_term(e, db, i, k, meridian_twists=0, longitude_twists=0):
     """
     surf = e.surfaces[k]
     # a longitude is the pushoff of one whole-curve span
-    spans = _along_spans(e, db, i) + [(0, 0)] * longitude_twists
+    spans = _along_spans(db, i) + [(0, 0)] * longitude_twists
     total = _pushoff_family_count(e, spans, i, surf)
     for _ in range(meridian_twists):
         total += curve_surface_count(meridian(e, i), surf)
@@ -235,7 +225,7 @@ def _massey4_on(e, ordering, provider):
                 ordering, boundaries, _SCHEMA, "unsupported",
                 "C_%d%d spanning surface required" % (k, l), (), None,
             )
-        spans = _along_spans(e, boundaries[(i, j)], i)
+        spans = _along_spans(boundaries[(i, j)], i)
         summands.append(
             _pushoff_family_count(e, spans, i, C_kl)
         )

@@ -54,6 +54,7 @@ class BoundaryPiece:
     kind: str             # "interior" | "along" | "circle"
     component: object     # component id for "along", else None
     points: tuple         # oriented polyline of the piece
+    span: object          # (pos0, pos1) on the component for "along", else None
 
 
 @dataclass(frozen=True)
@@ -321,12 +322,13 @@ def _trace(K_a, K_b, F_b, pair, intersect):
             loop.append(
                 BoundaryPiece(
                     kind="along", component=a_id,
-                    points=tuple(K_a.subarc(cur, q)),
+                    points=tuple(K_a.subarc(cur, q)), span=(cur, q),
                 )
             )
             arc = arcs[out_arc[q]]
             used.add(out_arc[q])
-            loop.append(BoundaryPiece(kind="interior", component=None, points=arc.points))
+            loop.append(BoundaryPiece(kind="interior", component=None,
+                                      points=arc.points, span=None))
             side, pos = arc.ends[1]
             while side == "b":
                 dep = _next_after(b_positions, pos, fresh_departure,
@@ -334,13 +336,14 @@ def _trace(K_a, K_b, F_b, pair, intersect):
                 loop.append(
                     BoundaryPiece(
                         kind="along", component=b_id,
-                        points=tuple(K_b.subarc(pos, dep)),
+                        points=tuple(K_b.subarc(pos, dep)), span=(pos, dep),
                     )
                 )
                 arc = arcs[departs_b[dep]]
                 used.add(departs_b[dep])
                 loop.append(
-                    BoundaryPiece(kind="interior", component=None, points=arc.points)
+                    BoundaryPiece(kind="interior", component=None,
+                                  points=arc.points, span=None)
                 )
                 side, pos = arc.ends[1]
             # landed on a -1 pierce of K_a
@@ -363,7 +366,8 @@ def _trace(K_a, K_b, F_b, pair, intersect):
         while True:
             used.add(k)
             arc = arcs[k]
-            loop.append(BoundaryPiece(kind="interior", component=None, points=arc.points))
+            loop.append(BoundaryPiece(kind="interior", component=None,
+                                      points=arc.points, span=None))
             side, pos = arc.ends[1]
             if side != "b":
                 raise StuckTrace("second-component loop escaped to a pierce")
@@ -373,7 +377,7 @@ def _trace(K_a, K_b, F_b, pair, intersect):
             loop.append(
                 BoundaryPiece(
                     kind="along", component=b_id,
-                    points=tuple(K_b.subarc(pos, q)),
+                    points=tuple(K_b.subarc(pos, q)), span=(pos, q),
                 )
             )
             if q == start_q:
@@ -385,7 +389,8 @@ def _trace(K_a, K_b, F_b, pair, intersect):
         raise StuckTrace("%d intersection arcs left untraced" % (len(arcs) - len(used)))
     for c in circles:
         loops.append(
-            (BoundaryPiece(kind="circle", component=None, points=c.points),)
+            (BoundaryPiece(kind="circle", component=None, points=c.points,
+                           span=None),)
         )
     db = DerivedBoundary(pair=pair, loops=tuple(loops), pierce_points=tuple(pierces))
     _check_closed(db)

@@ -86,6 +86,16 @@ def test_chains_verify(capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_chains_verify_rejects_no_cases(cases, capsys):
+    # with no cases the randomized identities would check nothing and pass
+    code = main(["chains-verify", "--complex", "s1xs2", "--cases", cases])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "cases must be a positive integer" in captured.err
+
+
 def test_byte_identical_output(capsys):
     main(["massey3", "--order", "1,2,3", "--fixture", "borromean"])
     out1 = capsys.readouterr().out
@@ -155,6 +165,31 @@ def test_massey3_borromean_golden_dumps(tmp_path, capsys):
     assert {
         "stdout": _sha(out.encode()), "geometry": _sha(geo), "trace": _sha(tr),
     } == GOLDEN_BORROMEAN
+
+
+# sha256 of `massey3 --fixture borromean_knotted --order 1,2,3` with both
+# dumps and of `seifert --fixture borromean_knotted`: unlike borromean, this
+# input has self-crossings, so its surfaces carry bypass steps, smoothed
+# passages and band stations, which these hashes pin down
+GOLDEN_KNOTTED = {
+    "stdout": "85f7845671b8726366c470c38c63f905d62e8cb2d19d29d48dd2b95a1e342212",
+    "geometry": "71f1c11de004822749007072eaa1a093fd1e04aac0e8d472149468eea1773fb7",
+    "trace": "f6ab478d012bbfd0b6fde01b1789a12ea45765a2f77e400df96d7a6fb1ffccfc",
+    "seifert": "5253d16cd736ee959ecdbed68cd26a5e04c62e62a7faec03f9421e782617b7f5",
+}
+
+
+def test_borromean_knotted_golden_dumps(tmp_path, capsys):
+    code, out, geo, tr = _run_dumps(
+        capsys, tmp_path, "knotted",
+        "massey3", "--fixture", "borromean_knotted", "--order", "1,2,3")
+    assert code == 0
+    assert main(["seifert", "--fixture", "borromean_knotted"]) == 0
+    seifert = capsys.readouterr().out
+    assert {
+        "stdout": _sha(out.encode()), "geometry": _sha(geo), "trace": _sha(tr),
+        "seifert": _sha(seifert.encode()),
+    } == GOLDEN_KNOTTED
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,6 @@ from masseylink.diagram import parse_pd
 from masseylink.drawing import draw_diagram, point_in_polygon
 from masseylink.embed import (
     _essential_vertices,
-    _locals_cache,
     _same_cycle,
     _wall_and_polygon,
     boundary_torus,
@@ -221,7 +220,6 @@ def test_cup_proof_agrees_with_full_check(case):
 def test_surface_index_matches_rational_boxes(case):
     for e in _embeddings(case):
         for i, surf in e.surfaces.items():
-            assert e.surface_index(i) is surf.index
             assert np.array_equal(surf.index.arr, BoxIndex(surf.triangles).arr)
 
 
@@ -250,7 +248,7 @@ def test_band_through_a_disk_is_still_caught():
     e = build_embedding(load_fixture("trefoil"))
     surf, tags = e.surfaces[1], e.provenance[1]
     band = tags.index("band:0")
-    dip = _locals_cache(e.drawing)[0].u_D1
+    dip = e.drawing.stations[0].u_D1
     v = next(p for t in surf.triangles[band:band + 10] for p in t if p[:2] == dip)
     deepest = min(t[0][2] for t, g in zip(surf.triangles, tags) if g.startswith("disk"))
     w = (v[0], v[1], deepest - e.unit)

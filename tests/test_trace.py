@@ -205,6 +205,27 @@ def test_cached_trace_equals_uncached_trace():
     assert traced > 0
 
 
+def test_along_pieces_carry_their_located_span():
+    # the span the tracer cut each along piece from is the one found by
+    # locating the piece's end points on its component
+    along = 0
+    for name, e in _cases():
+        for a, b in _ordered_pairs(e):
+            if e.diagram.linking_number(a, b):
+                continue
+            for loop in trace_derived_boundary(e, a, b).loops:
+                for piece in loop:
+                    if piece.kind != "along":
+                        assert piece.span is None, (name, a, b)
+                        continue
+                    curve = e.curves[piece.component]
+                    located = (curve.locate(piece.points[0]),
+                               curve.locate(piece.points[-1]))
+                    assert piece.span == located, (name, a, b)
+                    along += 1
+    assert along > 0
+
+
 def _count_intersections(monkeypatch, fail_first=False):
     calls = []
     orig = trace.surface_intersection
