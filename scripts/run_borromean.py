@@ -2,8 +2,9 @@
 """End-to-end walkthrough on the Borromean rings.
 
 Builds the embedding, traces every surface pair, evaluates the third-order
-linking number in all six orderings and compares with the Milnor oracle.
-Pass an output path to also dump the geometry JSON for plotting.
+linking number in all six orderings and checks massey3 = -milnor_mu, sign
+included; exits 1 on any mismatch.  Pass an output path to also dump the
+geometry JSON for plotting.
 """
 
 import itertools
@@ -34,11 +35,15 @@ def main():
         print("pair (%d,%d): %d loop(s), pierce labels %s" % (a, b, len(db.loops), labels))
 
     print()
-    print("ordering   term1  term2  value   oracle")
+    print("ordering   term1  term2  value     -mu")
+    mismatches = 0
     for order in itertools.permutations((1, 2, 3)):
         r = massey3(e, order)
-        mu = milnor_mu(d, order)
-        print("%s   %5d  %5d  %5d   %6d" % (order, r.term_first, r.term_second, r.value, mu))
+        want = -milnor_mu(d, order)
+        flag = "" if r.value == want else "  MISMATCH"
+        mismatches += r.value != want
+        print("%s   %5d  %5d  %5d   %5d%s"
+              % (order, r.term_first, r.term_second, r.value, want, flag))
 
     if len(sys.argv) > 1:
         dump_geometry(
@@ -47,7 +52,8 @@ def main():
             surfaces=[e.surfaces[i] for i in (1, 2, 3)],
         )
         print("geometry written to", sys.argv[1])
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,6 +13,7 @@ import sys
 
 from . import chains
 from .diagram import parse_gauss, parse_pd
+from .drawing import draw_diagram
 from .embed import measured, seifert_circles
 from .errors import InputError, InternalError, MasseyLinkError, UndefinedError
 from .fixtures import fixture_names, load_fixture
@@ -120,10 +121,11 @@ def _cmd_lk(args):
 
 def _cmd_seifert(args):
     d = _load_diagram(args)
-    st = seifert_circles(d)
+    drawing = draw_diagram(d)
+    st = seifert_circles(d, drawing=drawing)
     per = []
     for i in range(1, d.n_components + 1):
-        sti = seifert_circles(d, component=i)
+        sti = seifert_circles(d, component=i, drawing=drawing)
         per.append(
             {
                 "component": i,

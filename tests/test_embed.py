@@ -71,6 +71,41 @@ def test_split_pieces_have_disjoint_bands():
     assert min(xs3) > max(xs12) or min(xs12) > max(xs3)
 
 
+@pytest.mark.parametrize("word", [(1,) * 18, (1, -1) * 9], ids=["18 twists", "9 clasps"])
+def test_long_twist_regions_draw(word):
+    dr = draw_diagram(braid_closure(word, 2))
+    assert len(dr.crossing_geo) == 18
+
+
+def _pieces_with_crossings(d):
+    groups = []
+    for x in d.crossings:
+        pair = {x.under_component, x.over_component}
+        joined = [g for g in groups if g & pair]
+        groups = [g for g in groups if not g & pair] + [pair.union(*joined)]
+    return len(groups)
+
+
+def test_one_exact_layout_check_per_piece(monkeypatch):
+    # the grid layout is planar by construction: its single exact check
+    # per piece with crossings must pass, with no retry behind it
+    import masseylink.drawing as drawing
+
+    real = drawing._verify_positions
+    results = []
+    monkeypatch.setattr(drawing, "_verify_positions",
+                        lambda *args: results.append(real(*args)) or results[-1])
+    diagrams = (
+        [(name, load_fixture(name)) for name in fixture_names()]
+        + [(k, clasp_family(k)) for k in (1, 2, 3, 4)]
+        + [(w, braid_closure(w, 3)) for w in _zero_linking_words(16, seed=424242)]
+    )
+    for name, d in diagrams:
+        results.clear()
+        draw_diagram(d)
+        assert results == [1] * _pieces_with_crossings(d), name
+
+
 # -- Seifert structure -------------------------------------------------------
 
 

@@ -123,6 +123,16 @@ def test_random_zero_linking_closures_match_oracle():
         tested += 1
 
 
+def test_long_twist_region_closure_matches_oracle():
+    # nine s1 s1^-1 clasps in a row make a long chain of thin faces
+    from masseylink.magnus import milnor_mu
+
+    d = braid_closure((1, -1) * 9 + (2, -1, 2, -1, 2, -1), 3)
+    e = build_embedding(d)
+    for o in permutations((1, 2, 3)):
+        assert massey3(e, o).value == -milnor_mu(d, o), o
+
+
 # -- fourth order ---------------------------------------------------------------
 
 
