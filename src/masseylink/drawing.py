@@ -81,27 +81,25 @@ def point_in_polygon(poly, p):
 
 def polygon_area2(poly):
     """Twice the signed area (positive for counterclockwise)."""
-    s = Q(0)
+    s = 0
     for i in range(len(poly)):
         a, b = poly[i], poly[(i + 1) % len(poly)]
         s += a[0] * b[1] - a[1] * b[0]
     return s
 
 
-def dist2_point_seg(p, a, b):
-    """Squared euclidean distance from p to segment ab, exact."""
+def _too_close(p, a, b):
+    """Is the integer point p nearer than sqrt(_MIN_CLEAR2) to segment ab?"""
     dx, dy = b[0] - a[0], b[1] - a[1]
     px, py = p[0] - a[0], p[1] - a[1]
-    dd = dx * dx + dy * dy
-    if dd == 0:
-        return px * px + py * py
-    t = Q(px * dx + py * dy, dd)
-    if t < 0:
-        t = Q(0)
-    elif t > 1:
-        t = Q(1)
-    ex, ey = px - t * dx, py - t * dy
-    return ex * ex + ey * ey
+    dot, len2 = px * dx + py * dy, dx * dx + dy * dy
+    if dot <= 0:
+        return px * px + py * py < _MIN_CLEAR2
+    if dot >= len2:
+        qx, qy = p[0] - b[0], p[1] - b[1]
+        return qx * qx + qy * qy < _MIN_CLEAR2
+    # the foot lies inside: squared distance is cross**2 / len2
+    return (dx * py - dy * px) ** 2 < _MIN_CLEAR2 * len2
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +309,7 @@ def _verify_positions(d, arcs, rot, pos):
         for a, b, (arc, i) in segs:
             if X in (a, b):
                 continue
-            if dist2_point_seg(X, a, b) < _MIN_CLEAR2:
+            if _too_close(X, a, b):
                 return None
         # incident arm stubs long enough for the diamond
         for nbr in rot[node]:

@@ -17,8 +17,6 @@ import json
 from math import gcd, lcm
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NotGeneric
 from .rational import Q, qstr, sign
 
@@ -644,8 +642,8 @@ def _box_row(item):
     if isinstance(item, IntTriangle):
         D, verts, _ = item
         cols = list(zip(*verts))
-        return [min(c) / D for c in cols] + [max(c) / D for c in cols]
-    return [float(c) for c in _bbox(list(item))]
+        return tuple([min(c) / D for c in cols] + [max(c) / D for c in cols])
+    return tuple(float(c) for c in _bbox(list(item)))
 
 
 class BoxIndex:
@@ -659,26 +657,19 @@ class BoxIndex:
     integer form gives the same floats: min(ints) / D is one correctly
     rounded division of the same rational.  Rounding can only add
     candidates, and callers confirm every candidate with exact arithmetic.
-    A row of ``arr`` is itself a valid query box.
+    A row of ``arr`` is itself a valid query box.  A query returns the
+    indices of the candidate rows in ascending order.
     """
 
     def __init__(self, items):
-        self.arr = np.array([_box_row(it) for it in items], dtype=float).reshape(-1, 6)
+        self.arr = [_box_row(it) for it in items]
 
     def query(self, box):
-        b = np.array([float(c) for c in box], dtype=float)
-        a = self.arr
-        if len(a) == 0:
-            return []
-        mask = (
-            (a[:, 0] <= b[3])
-            & (a[:, 3] >= b[0])
-            & (a[:, 1] <= b[4])
-            & (a[:, 4] >= b[1])
-            & (a[:, 2] <= b[5])
-            & (a[:, 5] >= b[2])
-        )
-        return np.nonzero(mask)[0].tolist()
+        x0, y0, z0, x1, y1, z1 = [float(c) for c in box]
+        return [
+            i for i, (a0, b0, c0, a1, b1, c1) in enumerate(self.arr)
+            if a0 <= x1 and a1 >= x0 and b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0
+        ]
 
 
 # ---------------------------------------------------------------------------

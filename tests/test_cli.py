@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +166,32 @@ def test_massey3_borromean_golden_dumps(tmp_path, capsys):
     assert code == 0
     assert {
         "stdout": _sha(out.encode()), "geometry": _sha(geo), "trace": _sha(tr),
+    } == GOLDEN_BORROMEAN
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from masseylink.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_runs_without_numpy(tmp_path):
+    # the package needs only the standard library
+    src = os.path.dirname(os.path.dirname(embed.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    geo, tr = tmp_path / "geo.json", tmp_path / "trace.json"
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY,
+         "massey3", "--fixture", "borromean", "--order", "1,2,3",
+         "--dump-geometry", str(geo), "--dump-trace", str(tr)],
+        capture_output=True, env=env, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr.decode()
+    assert {
+        "stdout": _sha(run.stdout), "geometry": _sha(geo.read_bytes()),
+        "trace": _sha(tr.read_bytes()),
     } == GOLDEN_BORROMEAN
 
 

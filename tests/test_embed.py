@@ -4,11 +4,10 @@ import random
 import re
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from masseylink.diagram import parse_pd
-from masseylink.drawing import draw_diagram, point_in_polygon
+from masseylink.drawing import _MIN_CLEAR2, _too_close, draw_diagram, point_in_polygon
 from masseylink.embed import (
     _essential_vertices,
     _same_cycle,
@@ -104,6 +103,49 @@ def test_one_exact_layout_check_per_piece(monkeypatch):
         results.clear()
         draw_diagram(d)
         assert results == [1] * _pieces_with_crossings(d), name
+
+
+def _dist2_point_seg_fraction(p, a, b):
+    """Reference: the Fraction-valued point-segment distance the integer
+    clearance test replaced."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    px, py = p[0] - a[0], p[1] - a[1]
+    dd = dx * dx + dy * dy
+    if dd == 0:
+        return px * px + py * py
+    t = Q(px * dx + py * dy, dd)
+    if t < 0:
+        t = Q(0)
+    elif t > 1:
+        t = Q(1)
+    ex, ey = px - t * dx, py - t * dy
+    return ex * ex + ey * ey
+
+
+def test_integer_clearance_matches_fraction_distance():
+    rng = random.Random(1407)
+    seen = set()
+    for _ in range(400):
+        a = (rng.randint(-12, 12), rng.randint(-12, 12))
+        b = (rng.randint(-12, 12), rng.randint(-12, 12))
+        if a == b:
+            continue
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        m = rng.randint(-3, 3)
+        points = [
+            (rng.randint(-20, 20), rng.randint(-20, 20)),
+            a, b,                                              # distance 0
+            (a[0] + m * dx, a[1] + m * dy),                    # on the line
+            (a[0] - m * dy, a[1] + m * dx),                    # foot on a
+            (b[0] - m * dy, b[1] + m * dx),                    # foot on b
+        ]
+        if dx % 2 == 0 and dy % 2 == 0:
+            points.append((a[0] + dx // 2, a[1] + dy // 2))    # on the segment
+        for p in points:
+            ref = _dist2_point_seg_fraction(p, a, b)
+            assert _too_close(p, a, b) == (ref < _MIN_CLEAR2), (p, a, b)
+            seen.add((ref > _MIN_CLEAR2) - (ref < _MIN_CLEAR2))
+    assert seen == {-1, 0, 1}
 
 
 # -- Seifert structure -------------------------------------------------------
@@ -255,7 +297,7 @@ def test_cup_proof_agrees_with_full_check(case):
 def test_surface_index_matches_rational_boxes(case):
     for e in _embeddings(case):
         for i, surf in e.surfaces.items():
-            assert np.array_equal(surf.index.arr, BoxIndex(surf.triangles).arr)
+            assert surf.index.arr == BoxIndex(surf.triangles).arr
 
 
 def _rim(*xyz):

@@ -269,10 +269,11 @@ def test_box_index_query_matches_exact_overlap():
         for q in items:
             qbox = (*q[0], *q[1])
             exact = {i for i, it in enumerate(items) if _exact_overlap((*it[0], *it[1]), qbox)}
-            found = set(idx.query(qbox))
-            assert exact <= found
+            found = idx.query(qbox)
             if exact_in_float:
-                assert found == exact
+                assert found == sorted(exact)
+            else:
+                assert found == sorted(set(found)) and exact <= set(found)
 
 
 def test_boundary_curves_of_disk():
