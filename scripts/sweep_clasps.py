@@ -4,7 +4,7 @@
 Checks massey3 = -milnor_mu, sign included, in all six orderings; exits 1
 on any mismatch.
 
-Usage: sweep_clasps.py [max_k]   (default 6)
+Usage: sweep_clasps.py [max_k]   (default 8)
 """
 
 import itertools
@@ -18,7 +18,7 @@ from masseylink.massey import massey3
 
 
 def main():
-    max_k = int(sys.argv[1]) if len(sys.argv) > 1 else 6
+    max_k = int(sys.argv[1]) if len(sys.argv) > 1 else 8
     print("  k  crossings  ordering  massey3  -mu  time")
     mismatches = 0
     for k in range(1, max_k + 1):

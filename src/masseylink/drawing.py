@@ -7,23 +7,37 @@ the drawing is planar with the diagram's rotation by construction; one
 integer scale then gives the clearances, and one exact check (segment
 disjointness, slot order, clearances) confirms the result.
 
-Each crossing is finished locally: the four arms are cut where they meet
-a small diamond around the crossing vertex and replaced by two straight
-chords, which intersect in a single interior point.  All later geometry
-(dips, smoothing bypasses, twist bands) lives on these chords.  The
-chord ends are rounded from a float angle to rational points on a small
-circle and checked exactly; this is the module's only use of floats.
+Each crossing is finished on its own arms: every arm is cut where it
+leaves a small bulged diamond around the crossing vertex, and the two
+pairs of opposite cut points are joined by straight chords, which
+intersect in a single interior point.  All later geometry (dips,
+smoothing bypasses, twist bands) lives on these chords.
+
+The diamond of radius r is the closed curve of the points
+r * (1 + a(1-a)/2) * (+-a, +-(1-a)), 0 <= a <= 1, and the arm with
+direction (dx, dy) leaves it at a = |dx| / (|dx| + |dy|), a rational
+point.  The curve is strictly convex: in one quadrant
+v(a) = (1 + a(1-a)/2) * (a, 1-a) has v' x v'' = -(3/2)(1 - a + a^2),
+which is never zero, and at the axis points the tangent turns left, with
+a cross product of 1 > 0.  So the four arms of a crossing, in distinct
+counterclockwise directions as `_verify_positions` guarantees, leave it
+at four points in strictly convex position, and the chords cross at one
+point inside both.  Each arm ray leaves the curve once, so an arc's first
+segment meets the gadget only at its own exit; the gadget lies within
+9/8 r of its crossing, so the clearances checked on the grid keep every
+other arc and gadget away.  Nothing is rounded: every coordinate is
+exact.
 """
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import EmbeddingDegenerate, NonRealizable
 from .plgeom import orient2
 from .rational import Q
 
-# grid clearance requirements (squared euclidean)
-_MIN_CLEAR2 = 64
+# grid clearance requirement (euclidean, and squared)
+_MIN_CLEAR = 8
+_MIN_CLEAR2 = _MIN_CLEAR * _MIN_CLEAR
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +397,8 @@ def _cyclic_order(dirs):
 class CrossingGeometry:
     center: tuple
     point: tuple          # intersection point of the two chords
-    under_chord: tuple    # (entry, exit) anchor points on the port circle
+    under_chord: tuple    # (entry, exit): where the strand's arms leave the diamond
     over_chord: tuple
-    under_path: tuple     # full passage polyline exit->anchor->anchor->exit
-    over_path: tuple
 
 
 def _chord_point(chord, t):
@@ -439,69 +451,22 @@ class Drawing:
     stations: tuple               # CrossingStations per crossing
 
 
-_DIAMOND = Q(2)  # diamond radius in grid units, < sqrt(_MIN_CLEAR2)/2
+# radius of the bulged diamond in grid units: the gadget lies within
+# 9/8 * _DIAMOND of its crossing, well inside the clearance _MIN_CLEAR
+_DIAMOND = Q(2)
 
 
 def _diamond_exit(X, P, r):
-    """Point at L1 distance r from X along segment X->P (exact)."""
+    """Point where the arm X->P leaves the bulged diamond of radius r at X.
+
+    With (dx, dy) = P - X and l1 = |dx| + |dy|, the point is
+    X + r * (1 + |dx||dy| / (2 l1^2)) / l1 * (dx, dy); it depends only on
+    the arm's direction.
+    """
     dx, dy = P[0] - X[0], P[1] - X[1]
     l1 = abs(dx) + abs(dy)
-    t = Q(r, l1)
+    t = r * (2 * l1 * l1 + abs(dx * dy)) / (2 * l1 ** 3)
     return (X[0] + t * dx, X[1] + t * dy)
-
-
-def _circle_port(X, rho, v, denom):
-    """Rational point exactly on circle(X, rho), near direction v.
-
-    Uses the rational circle parametrization (1-t^2, 2t)/(1+t^2) with a
-    rationalized half-angle, so four ports in arm order are in strictly
-    convex position: the two chords of an interleaved quadruple always
-    cross properly.
-    """
-    import math
-
-    ang = math.atan2(float(v[1]), float(v[0]))
-    t = Q(int(round(math.tan(ang / 2.0) * denom)), denom)
-    den = 1 + t * t
-    return (X[0] + rho * (1 - t * t) / den, X[1] + rho * 2 * t / den)
-
-
-def _crossing_local_geometry(X, exits, rho):
-    """Ports, chords and passage polylines inside one crossing diamond.
-
-    exits: the four arm cut points in slot order.  Returns None when the
-    rationalized ports fail an exact check (caller retries finer).
-    """
-    for denom_bits in (20, 26, 32, 38):
-        denom = 1 << denom_bits
-        ports = [_circle_port(X, rho, (e[0] - X[0], e[1] - X[1]), denom) for e in exits]
-        if len(set(ports)) != 4:
-            continue
-        if _cyclic_order([(p[0] - X[0], p[1] - X[1]) for p in ports]) != 1:
-            continue
-        Y = seg2_intersection(ports[0], ports[2], ports[1], ports[3])
-        if not (
-            _strictly_between(ports[0], ports[2], Y)
-            and _strictly_between(ports[1], ports[3], Y)
-        ):
-            continue
-        # each connector exit->port may meet the closed port disk only at
-        # its own port: then chord contacts are impossible by convexity
-        ok = True
-        for k in range(4):
-            e, c = exits[k], ports[k]
-            de2 = (e[0] - X[0]) ** 2 + (e[1] - X[1]) ** 2
-            dc2 = (e[0] - c[0]) ** 2 + (e[1] - c[1]) ** 2
-            if de2 - rho * rho < dc2:
-                ok = False
-        # connectors live in the annulus and must not cross each other
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if seg2_properly_intersect(exits[i], ports[i], exits[j], ports[j]):
-                    ok = False
-        if ok:
-            return ports, Y
-    return None
 
 
 def draw_diagram(d, grid_scale=1):
@@ -589,12 +554,15 @@ def draw_diagram(d, grid_scale=1):
         pos = _grid_positions(split, faces, min(faces, key=face_key))
         # a lattice point off a lattice segment of length L lies at least
         # 1/L from it and distinct lattice points lie 1 apart, so scaling
-        # by sqrt(_MIN_CLEAR2) * max(2, ceil(L_max)) gives every clearance
+        # by _MIN_CLEAR * max(2, ceil(L_max)) gives every clearance
         longest2 = max(
             (pos[u][0] - pos[v][0]) ** 2 + (pos[u][1] - pos[v][1]) ** 2
             for u in rot for v in rot[u]
         )
-        s = isqrt(_MIN_CLEAR2) * max(2, isqrt(longest2 - 1) + 1)
+        ceil_len = 2
+        while ceil_len * ceil_len < longest2:
+            ceil_len += 1
+        s = _MIN_CLEAR * ceil_len
         pos = {u: (s * p[0], s * p[1]) for u, p in pos.items()}
         if _verify_positions(d, arcs, rot, pos) != 1:
             raise EmbeddingDegenerate("grid drawing failed its exact check")
@@ -604,32 +572,25 @@ def draw_diagram(d, grid_scale=1):
             all_pos[u] = (p[0] * unit + offset_x, Q(p[1]) * unit)
         offset_x += (max(p[0] for p in pos.values()) + margin) * unit
 
-    # ports, chords and passages at every crossing
+    # the chords of every crossing join the points where its arms leave
+    # the diamond
     for idx, x in enumerate(d.crossings):
         X = all_pos[("x", idx)]
         exits = []
         for k, arc in enumerate(x.slots):
             nbr = ("s", arc, 1 if d.arc_ends[arc][1] == (idx, k) else 0)
             exits.append(_diamond_exit(X, all_pos[nbr], _DIAMOND * unit))
-        local = _crossing_local_geometry(X, exits, _DIAMOND * unit / 4)
-        if local is None:
-            raise EmbeddingDegenerate("could not finish crossing %d locally" % idx)
-        ports, Y = local
-        oin_slot = d.arc_ends[x.over_in][1][1]
-        oout_slot = d.arc_ends[x.over_out][0][1]
-        geo[idx] = CrossingGeometry(
-            center=X,
-            point=Y,
-            under_chord=(ports[0], ports[2]),
-            over_chord=(ports[oin_slot], ports[oout_slot]),
-            under_path=(exits[0], ports[0], ports[2], exits[2]),
-            over_path=(exits[oin_slot], ports[oin_slot], ports[oout_slot], exits[oout_slot]),
-        )
+        under = (exits[0], exits[2])
+        over = (exits[d.arc_ends[x.over_in][1][1]], exits[d.arc_ends[x.over_out][0][1]])
+        Y = seg2_intersection(*under, *over)
+        if not (_strictly_between(*under, Y) and _strictly_between(*over, Y)):
+            raise EmbeddingDegenerate("chords of crossing %d do not cross" % idx)
+        geo[idx] = CrossingGeometry(center=X, point=Y, under_chord=under, over_chord=over)
 
     for arc, ((xo, so), (xi, si)) in d.arc_ends.items():
         g_out, g_in = geo[xo], geo[xi]
-        start = g_out.under_path[3] if so == 2 else g_out.over_path[3]
-        stop = g_in.under_path[0] if si == 0 else g_in.over_path[0]
+        start = (g_out.under_chord if so == 2 else g_out.over_chord)[1]
+        stop = (g_in.under_chord if si == 0 else g_in.over_chord)[0]
         arc_paths[arc] = [
             start,
             all_pos[("s", arc, 0)],

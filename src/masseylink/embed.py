@@ -143,18 +143,17 @@ def seifert_circles(d, component=None, drawing=None):
 
 def _passage_points(loc, role, smoothed):
     """2D waypoints of a full strand passage through a crossing."""
-    g = loc.geo
     if role == "U":
-        path = g.under_path
+        ends = loc.geo.under_chord
         mid = [loc.u_A, loc.u_D1, loc.u_D2, loc.u_B]
         if smoothed:
             mid = [loc.u_m_in] + mid + [loc.u_m_out]
     else:
-        path = g.over_path
+        ends = loc.geo.over_chord
         mid = []
         if smoothed:
             mid = [loc.o_m_in] + loc.o_P + [loc.o_m_out]
-    return [path[0], path[1]] + mid + [path[2], path[3]]
+    return [ends[0]] + mid + [ends[1]]
 
 
 def _passage_heights(loc, role, pts, dip):
@@ -170,16 +169,10 @@ def _passage_heights(loc, role, pts, dip):
 def _bypass_entry(loc, role):
     """Waypoints from the passage entry to the smoothing bypass and on to
     the other strand's exit (all at z=0)."""
-    g = loc.geo
+    u, o = loc.geo.under_chord, loc.geo.over_chord
     if role == "U":
-        return (
-            [g.under_path[0], g.under_path[1], loc.u_m_in],
-            [loc.o_m_out, g.over_path[2], g.over_path[3]],
-        )
-    return (
-        [g.over_path[0], g.over_path[1], loc.o_m_in],
-        [loc.u_m_out, g.under_path[2], g.under_path[3]],
-    )
+        return [u[0], loc.u_m_in], [loc.o_m_out, o[1]]
+    return [o[0], loc.o_m_in], [loc.u_m_out, u[1]]
 
 
 def _walk(drawing, steps, smoothed, dip, zshift):

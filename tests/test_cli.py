@@ -139,8 +139,8 @@ def test_fixture_root_override(tmp_path, capsys, monkeypatch):
 # stdout pins every printed integer, the dumps pin every coordinate
 GOLDEN_BORROMEAN = {
     "stdout": "85f7845671b8726366c470c38c63f905d62e8cb2d19d29d48dd2b95a1e342212",
-    "geometry": "b9f4127fb5305d773a7d02e6c4d66b9889ab88905685d7ee76384003cd400ab7",
-    "trace": "0fbf7ec5bcacc13fc3b70a2a3322840c91031d315abe16520d5257c5a1640ac1",
+    "geometry": "45407fe98b11d6701832e3413cc9ee9f4fe55c1b6987374157ba493f93cb7b42",
+    "trace": "f64ccb5562aec74736399d94acc2fb2a63f5ec3b357e5b22d27251d8016c4dca",
 }
 
 
@@ -201,8 +201,8 @@ def test_runs_without_numpy(tmp_path):
 # passages and band stations, which these hashes pin down
 GOLDEN_KNOTTED = {
     "stdout": "85f7845671b8726366c470c38c63f905d62e8cb2d19d29d48dd2b95a1e342212",
-    "geometry": "3aa2519388d0f35be60f0923cc5f487cf91877ae880ae3d7992923c89c167e13",
-    "trace": "ad0dcaf5b69e5ae99a5ae49a0894ceb4f6433d13177374bee7fefb8ac4ff54d4",
+    "geometry": "a337d7d9b92813eed048ca9a4f9d3a3f2520e49d5e86239b4fcfc2178aced7c3",
+    "trace": "420edaf45cdd57c997b6bb0bf1834ee17769ff0125f7eecc0a647ce25f8bc244",
     "seifert": "5253d16cd736ee959ecdbed68cd26a5e04c62e62a7faec03f9421e782617b7f5",
 }
 

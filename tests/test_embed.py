@@ -2,12 +2,22 @@ import dataclasses
 import json
 import random
 import re
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
+from itertools import combinations
 
 import pytest
 
 from masseylink.diagram import parse_pd
-from masseylink.drawing import _MIN_CLEAR2, _too_close, draw_diagram, point_in_polygon
+from masseylink.drawing import (
+    _DIAMOND,
+    _MIN_CLEAR2,
+    _diamond_exit,
+    _strictly_between,
+    _too_close,
+    draw_diagram,
+    point_in_polygon,
+    seg2_intersection,
+)
 from masseylink.embed import (
     _essential_vertices,
     _same_cycle,
@@ -21,7 +31,14 @@ from masseylink.embed import (
 )
 from masseylink.errors import NonRealizable, NotGeneric, TubeTooLarge
 from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
-from masseylink.plgeom import BoxIndex, PLCurve, PLSurface, curve_surface_count, qpoint as P
+from masseylink.plgeom import (
+    BoxIndex,
+    PLCurve,
+    PLSurface,
+    curve_surface_count,
+    orient2,
+    qpoint as P,
+)
 from masseylink.rational import Q
 
 
@@ -41,12 +58,85 @@ def _euler(surface):
 
 
 def test_drawing_realizes_slot_rotation(borromean):
-    dr = draw_diagram(borromean)
-    assert len(dr.crossing_geo) == 6
-    for g in dr.crossing_geo:
-        # the chords cross at an interior point of both passages
-        assert g.point != g.under_chord[0] and g.point != g.under_chord[1]
-        assert g.point != g.over_chord[0] and g.point != g.over_chord[1]
+    assert len(draw_diagram(borromean).crossing_geo) == 6
+    for name in fixture_names():
+        for g in draw_diagram(load_fixture(name)).crossing_geo:
+            # the chords cross at an interior point of both passages
+            assert g.point != g.under_chord[0] and g.point != g.under_chord[1]
+            assert g.point != g.over_chord[0] and g.point != g.over_chord[1]
+            assert orient2(*g.under_chord, g.point) == 0, name
+            assert orient2(*g.over_chord, g.point) == 0, name
+
+
+def _ray(v):
+    """The direction of v as a rational point on the L1 unit circle."""
+    l1 = abs(v[0]) + abs(v[1])
+    return (Q(v[0]) / l1, Q(v[1]) / l1)
+
+
+def _counterclockwise(dirs):
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def before(u, v):
+        if half(u) != half(v):
+            return half(u) - half(v)
+        return v[0] * u[1] - v[1] * u[0]
+
+    return sorted(dirs, key=cmp_to_key(before))
+
+
+def _assert_chords_cross_in_convex_quad(quad):
+    # four points in counterclockwise order: every turn is strictly left,
+    # and the diagonals meet strictly inside both
+    for i in range(4):
+        assert orient2(quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4]) == 1, quad
+    Y = seg2_intersection(quad[0], quad[2], quad[1], quad[3])
+    assert _strictly_between(quad[0], quad[2], Y), quad
+    assert _strictly_between(quad[1], quad[3], Y), quad
+
+
+def test_diamond_exits_are_in_strictly_convex_position():
+    rng = random.Random(1027)
+    seeded = [(rng.choice([-1, 1]) * rng.randint(1, 50),
+               rng.choice([-1, 1]) * rng.randint(1, 50)) for _ in range(8)]
+    signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    special = (
+        [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        + signs
+        + [(sx, sy * 10**6) for sx, sy in signs]
+        + [(sx * 10**6, sy) for sx, sy in signs]
+    )
+    clasp_arms = []
+    for g in draw_diagram(clasp_family(8)).crossing_geo:
+        X = g.center
+        ends = [*g.under_chord, *g.over_chord]
+        clasp_arms += [(e[0] - X[0], e[1] - X[1]) for e in ends]
+        # each drawn crossing: its own four exits, around its center
+        by_angle = _counterclockwise(clasp_arms[-4:])
+        quad = [(X[0] + v[0], X[1] + v[1]) for v in by_angle]
+        _assert_chords_cross_in_convex_quad(quad)
+        assert {quad[0], quad[2]} in ({*g.under_chord}, {*g.over_chord})
+    for pool in (seeded + special, clasp_arms):
+        rays = _counterclockwise(set(map(_ray, pool)))
+        exits = [_diamond_exit((0, 0), v, _DIAMOND) for v in rays]
+        assert len(set(exits)) == len(exits)
+        # combinations keep the counterclockwise order of the rays
+        for quad in combinations(exits, 4):
+            _assert_chords_cross_in_convex_quad(quad)
+
+
+def test_coordinates_fit_in_128_bits():
+    diagrams = [load_fixture(n) for n in fixture_names()] + [
+        clasp_family(k) for k in (1, 2, 3, 4)]
+    for d in diagrams:
+        e = build_embedding(d, grid_scale=1)
+        points = [v for c in e.curves.values() for v in c.vertices] + [
+            v for s in e.surfaces.values() for t in s.triangles for v in t]
+        bits = max(
+            (max(x.numerator.bit_length(), x.denominator.bit_length())
+             for v in points for x in v))
+        assert bits <= 128, (d.comment, bits)
 
 
 def test_drawing_rejects_nonplanar_gauss():
