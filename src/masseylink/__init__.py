@@ -9,7 +9,7 @@ intersection calculus on small triangulations.
 """
 
 from .diagram import LinkDiagram, parse_gauss, parse_pd
-from .embed import build_embedding, boundary_torus, meridian, seifert_circles
+from .embed import build_embedding, meridian, seifert_circles
 from .fixtures import load_fixture
 from .magnus import milnor_mu
 from .massey import massey3, massey4
@@ -21,7 +21,6 @@ __all__ = [
     "parse_gauss",
     "seifert_circles",
     "build_embedding",
-    "boundary_torus",
     "meridian",
     "trace_derived_boundary",
     "massey3",

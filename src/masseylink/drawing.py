@@ -65,6 +65,40 @@ def _on_seg2(a, b, p):
     )
 
 
+def segments_touch(segs):
+    """Do two of the closed segments (a, b) meet anywhere other than in one
+    common endpoint?
+
+    A sweep in x: with the segments sorted by least x, each is compared
+    only with the later ones whose x range starts within its own and whose
+    y range meets its own.
+    """
+    boxes = sorted(
+        ((min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]), a, b)
+         for a, b in segs),
+        key=lambda box: box[0],
+    )
+    for i, (_, x1, y0, y1, a, b) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            u0, _, v0, v1, c, d = boxes[j]
+            if u0 > x1:
+                break
+            if v0 > y1 or v1 < y0:
+                continue
+            shared = {a, b} & {c, d}
+            if len(shared) > 1:
+                return True
+            if shared:
+                # one common endpoint: neither segment may hold another
+                # point of the other
+                if any(_on_seg2(u, v, q) and q not in (u, v)
+                       for u, v, q in ((a, b, c), (a, b, d), (c, d, a), (c, d, b))):
+                    return True
+            elif seg2_properly_intersect(a, b, c, d):
+                return True
+    return False
+
+
 def seg2_intersection(a, b, c, d):
     """Intersection point of lines ab and cd (must not be parallel)."""
     d1 = (b[0] - a[0], b[1] - a[1])
@@ -282,45 +316,20 @@ def _verify_positions(d, arcs, rot, pos):
     """Exact validity check of grid positions; returns chirality or None."""
     if len(set(pos.values())) != len(pos):
         return None
-    # arc polylines in grid coordinates
-    paths = {}
+    # arc polylines in grid coordinates; positions are distinct, so no
+    # segment is degenerate
+    segs = []
     for arc in arcs:
         (xo, _), (xi, _) = d.arc_ends[arc]
-        paths[arc] = [
-            pos[("x", xo)],
-            pos[("s", arc, 0)],
-            pos[("s", arc, 1)],
-            pos[("x", xi)],
-        ]
-    segs = []
-    for arc, path in paths.items():
-        for i in range(3):
-            if path[i] == path[i + 1]:
-                return None
-            segs.append((path[i], path[i + 1], (arc, i)))
-    # pairwise disjointness except at shared crossing endpoints
-    for i in range(len(segs)):
-        a, b, ka = segs[i]
-        for j in range(i + 1, len(segs)):
-            c, dd, kb = segs[j]
-            shared = {a, b} & {c, dd}
-            if shared:
-                # segments may touch only at a common crossing node and
-                # only once
-                if len(shared) > 1:
-                    return None
-                if any(_on_seg2(a, b, q) and q not in (a, b) for q in (c, dd)):
-                    return None
-                if any(_on_seg2(c, dd, q) and q not in (c, dd) for q in (a, b)):
-                    return None
-                continue
-            if seg2_properly_intersect(a, b, c, dd):
-                return None
+        path = [pos[("x", xo)], pos[("s", arc, 0)], pos[("s", arc, 1)], pos[("x", xi)]]
+        segs += zip(path, path[1:])
+    if segments_touch(segs):
+        return None
     crossing_nodes = [u for u in rot if u[0] == "x"]
     # clearance: crossing centers far from non-incident segments
     for node in crossing_nodes:
         X = pos[node]
-        for a, b, (arc, i) in segs:
+        for a, b in segs:
             if X in (a, b):
                 continue
             if _too_close(X, a, b):
@@ -447,7 +456,6 @@ class Drawing:
     diagram: object
     scale: object                 # rational multiplier from grid ints
     arc_paths: dict               # arc -> list of 2D rational points
-    crossing_geo: tuple           # CrossingGeometry per crossing
     stations: tuple               # CrossingStations per crossing
 
 
@@ -602,7 +610,6 @@ def draw_diagram(d, grid_scale=1):
         diagram=d,
         scale=unit,
         arc_paths=arc_paths,
-        crossing_geo=tuple(geo),
         stations=tuple(CrossingStations(g) for g in geo),
     )
 

@@ -1,4 +1,4 @@
-"""PL embeddings of diagrams: curves, Seifert surfaces, tubes, pushoffs.
+"""PL embeddings of diagrams: curves, Seifert surfaces, meridians, pushoffs.
 
 Geometry scheme (all exact rationals, built on a verified plane drawing):
 
@@ -20,9 +20,8 @@ horizontal polygons of different surfaces are never coplanar.
 
 from dataclasses import dataclass, field
 
-from . import plgeom
-from .drawing import draw_diagram, point_in_polygon, polygon_area2, seg2_properly_intersect
-from .errors import NotGeneric, TubeTooLarge
+from .drawing import draw_diagram, point_in_polygon, polygon_area2, segments_touch
+from .errors import NotGeneric
 from .plgeom import PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_scale, v_sub
 from .rational import Q
 
@@ -339,25 +338,18 @@ def _wall_and_polygon(rim, level):
 def _check_simple(poly):
     """NotGeneric unless the closed polygon (consecutive vertices distinct)
     is simple: adjacent edges meet only in their common vertex, and
-    non-adjacent edges do not meet at all."""
+    non-adjacent edges do not meet at all.  With distinct vertices, adjacent
+    edges share exactly one vertex and non-adjacent edges none, so this is
+    the segment contact rule of ``segments_touch``."""
     n = len(poly)
     edges = [(poly[k], poly[(k + 1) % n]) for k in range(n)]
-    boxes = [
-        (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
-        for a, b in edges
-    ]
     for k, (a, b) in enumerate(edges):
         c = edges[(k + 1) % n][1]
         if orient2(a, b, c) == 0 and (
                 (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1]) < 0):
             raise NotGeneric("circle footprint folds back")
-        x0, y0, x1, y1 = boxes[k]
-        for j in range(k + 2, n if k else n - 1):
-            u0, v0, u1, v1 = boxes[j]
-            if u0 > x1 or u1 < x0 or v0 > y1 or v1 < y0:
-                continue
-            if seg2_properly_intersect(a, b, *edges[j]):
-                raise NotGeneric("circle footprint is not simple")
+    if len(set(poly)) != n or segments_touch(edges):
+        raise NotGeneric("circle footprint is not simple")
 
 
 def _band_triangles(loc, dip, zshift):
@@ -536,7 +528,7 @@ def _essential_vertices(vs):
 
 
 # ---------------------------------------------------------------------------
-# tubes, meridians, pushoffs
+# meridians, pushoffs
 
 
 def _segment_frame(a, b):
@@ -551,58 +543,6 @@ def _segment_frame(a, b):
 
 def _scaled(u, r):
     return v_scale(u, Q(r, abs(u[0]) + abs(u[1]) + abs(u[2])))
-
-
-def _ring(p, u1, u2, r):
-    a = _scaled(u1, r)
-    b = _scaled(u2, r)
-    return [v_add(p, a), v_add(p, b), v_sub(p, a), v_sub(p, b)]
-
-
-def boundary_torus(e, i, radius=None):
-    """Triangulated torus around component i, oriented outward.
-
-    Raises TubeTooLarge when the requested radius exceeds the clearance
-    (detected by exact self-intersection or contact checks).
-    """
-    r = e.tube_radius if radius is None else radius
-    curve = e.curves[i]
-    segs = curve.segments()
-    rings = []
-    for (a, b) in segs:
-        u1, u2 = _segment_frame(a, b)
-        d8 = v_sub(b, a)
-        p_in = v_add(a, v_scale(d8, Q(1, 8)))
-        p_out = v_add(a, v_scale(d8, Q(7, 8)))
-        rings.append(_ring(p_in, u1, u2, r))
-        rings.append(_ring(p_out, u1, u2, r))
-    tris = []
-    nr = len(rings)
-    for k in range(nr):
-        r1, r2 = rings[k], rings[(k + 1) % nr]
-        for c in range(4):
-            a, b = r1[c], r1[(c + 1) % 4]
-            c2, d2 = r2[(c + 1) % 4], r2[c]
-            tris.append((a, b, c2))
-            tris.append((a, c2, d2))
-    torus = PLSurface(tris)
-    if torus.validate():
-        raise TubeTooLarge("tube mesh is not closed")
-    try:
-        torus.check_embedded()
-    except NotGeneric:
-        raise TubeTooLarge("tube of radius %s self-intersects" % r)
-    # the tube must also clear every other curve of the link
-    idx = torus.index
-    for j, other in e.curves.items():
-        if j == i:
-            continue
-        for seg in other.segments():
-            for ti in idx.query(plgeom._bbox(list(seg))):
-                hit = plgeom.segment_triangle(seg, torus.triangles[ti])
-                if hit[0] != "empty":
-                    raise TubeTooLarge("tube of radius %s meets component %d" % (r, j))
-    return torus
 
 
 def _arc_interior_position(e, i):

@@ -39,10 +39,6 @@ class UnknownComponent(InputError):
     pass
 
 
-class TubeTooLarge(InputError):
-    """Requested tube radius exceeds the clearance around the curve."""
-
-
 class MasseyUndefined(UndefinedError):
     """A lower-order product does not vanish, so the product is undefined."""
 

@@ -142,17 +142,15 @@ def longitude_word(d, i):
     return word
 
 
-def _arc_expansions(d, degree, iterations=None):
+def _arc_expansions(d, degree):
     """Magnus series of every arc generator, resolved to the given degree."""
     over_pairs = {x.over_out: x.over_in for x in d.crossings}
     exp = {}
     for ci, arcs in enumerate(d.components):
         for a in arcs:
             exp[a] = TruncatedSeries.generator(degree, ci + 1)
-    if iterations is None:
-        iterations = max(degree - 1, 1)
     under_at = {x.under_in: x for x in d.crossings}
-    for _ in range(iterations):
+    for _ in range(max(degree - 1, 1)):
         new = {}
         for ci, arcs in enumerate(d.components):
             base = TruncatedSeries.generator(degree, ci + 1)

@@ -149,7 +149,6 @@ def _surface_k_spans(e, surf, i):
     curve = e.curves[i]
     spans = []
     for loop in surf.boundary_curves():
-        run = []
         vs = list(loop.vertices)
         located = [curve.locate(v) for v in vs]
         n = len(vs)

@@ -562,32 +562,11 @@ class PLSurface:
     def boundary_curves(self):
         """Boundary as oriented closed PLCurves (induced orientation).
 
-        Vertices are keyed on ``point_key``; each loop starts at its least
-        vertex, and the loops come in the order of those vertices.
+        Loops are ordered as by ``stitch``.
         """
-        nxt = {}
-        at = {}
-        for a, b in self.validate():
-            ka = point_key(a)
-            if ka in nxt:
-                raise NotGeneric("boundary is not a disjoint union of circles")
-            nxt[ka] = point_key(b)
-            at[ka] = a
-        curves = []
-        seen = set()
-        for start in sorted(nxt, key=at.__getitem__):
-            if start in seen:
-                continue
-            loop = [at[start]]
-            seen.add(start)
-            cur = nxt[start]
-            while cur != start:
-                loop.append(at[cur])
-                seen.add(cur)
-                cur = nxt[cur]
-            # drop collinear interior vertices? keep exact: fine as is
-            curves.append(PLCurve(loop, closed=True))
-        return curves
+        # at every vertex boundary edges come in and go out equally often,
+        # so they stitch into loops only
+        return [PLCurve(loop, closed=True) for loop in stitch(self.validate())[1]]
 
     def check_embedded(self, cups=None):
         """Exact self-intersection check.
@@ -628,6 +607,41 @@ def point_key(p):
     x, y, z = p
     return (x.numerator, x.denominator, y.numerator, y.denominator,
             z.numerator, z.denominator)
+
+
+def stitch(segments):
+    """Join directed segments (p, q) end to start; returns (chains, loops).
+
+    Points are keyed on ``point_key``; NotGeneric when two segments leave or
+    enter one point.  Chains and loops are point lists: the chains sorted by
+    first point, each loop starting at its least point and the loops in the
+    order of those points.
+    """
+    at, nxt, prv = {}, {}, {}
+    for p, q in segments:
+        kp, kq = point_key(p), point_key(q)
+        if kp in nxt or kq in prv:
+            raise NotGeneric("segments branch at a point")
+        nxt[kp] = kq
+        prv[kq] = kp
+        at[kp], at[kq] = p, q
+    chains = []
+    for k in sorted((k for k in nxt if k not in prv), key=at.__getitem__):
+        chain = [at[k]]
+        while k in nxt:
+            k = nxt.pop(k)
+            chain.append(at[k])
+        chains.append(chain)
+    # every point left in nxt lies on a loop
+    loops = []
+    for k in sorted(nxt, key=at.__getitem__):
+        loop = []
+        while k in nxt:
+            loop.append(at[k])
+            k = nxt.pop(k)
+        if loop:
+            loops.append(loop)
+    return chains, loops
 
 
 def _bbox(points):

@@ -20,6 +20,7 @@ from .plgeom import (
     PLCurve,
     curve_surface_crossings,
     point_key,
+    stitch,
     tri_normal,
     triangle_triangle,
     v_cross,
@@ -85,10 +86,9 @@ class DerivedBoundary:
 def surface_intersection(F_a, F_b, pair=(0, 0)):
     """Connected oriented components of the point set F_a meet F_b.
 
-    Arcs come first, sorted by their first point, then circles, each
-    starting at its least vertex, in the order of those vertices.  Points
-    are keyed on the integers of ``point_key`` and compared as rationals
-    only to order the output.
+    Arcs come first, then circles, each in the order of ``stitch``.
+    Points are keyed on the integers of ``point_key`` and compared as
+    rationals only to order the output.
     """
     segs = {}   # unordered key pair -> [p, q, witness triangle pairs]
     for ia, box in enumerate(F_a.index.arr):
@@ -112,7 +112,7 @@ def surface_intersection(F_a, F_b, pair=(0, 0)):
     oriented = []
     for (kp, kq), (p, q, wits) in segs.items():
         if kp == kq:
-            continue  # point contacts are re-validated at stitch time
+            continue  # point contacts are checked after stitching
         d = v_sub(q, p)
         dirs = set()
         for ia, ib in wits:
@@ -127,43 +127,15 @@ def surface_intersection(F_a, F_b, pair=(0, 0)):
             raise NotGeneric("inconsistent orientation along intersection")
         oriented.append((p, q) if dirs.pop() > 0 else (q, p))
 
-    # stitch oriented segments into chains
-    at = {}
-    nxt = {}
-    prv = {}
-    for p, q in oriented:
-        kp, kq = point_key(p), point_key(q)
-        if kp in nxt or kq in prv:
-            raise NotGeneric("branching intersection set")
-        nxt[kp] = kq
-        prv[kq] = kp
-        at[kp], at[kq] = p, q
-    for kp, kq in segs:
-        if kp == kq and kp not in at:
-            raise NotGeneric("isolated surface contact point")
-
-    out = []
-    seen = set()
-    for k in sorted((k for k in nxt if k not in prv), key=at.__getitem__):
-        chain = [at[k]]
-        while k in nxt:
-            seen.add(k)
-            k = nxt[k]
-            chain.append(at[k])
-        seen.add(k)
-        out.append(IntersectionCurve(points=tuple(chain), kind="arc", ends=(), pair=pair))
-    for k in sorted(nxt, key=at.__getitem__):
-        if k in seen:
-            continue
-        chain = [at[k]]
-        seen.add(k)
-        cur = nxt[k]
-        while cur != k:
-            chain.append(at[cur])
-            seen.add(cur)
-            cur = nxt[cur]
-        out.append(IntersectionCurve(points=tuple(chain), kind="circle", ends=(), pair=pair))
-    return out
+    chains, loops = stitch(oriented)
+    ends = {k for kp, kq in segs if kp != kq for k in (kp, kq)}
+    if any(kp == kq and kp not in ends for kp, kq in segs):
+        raise NotGeneric("isolated surface contact point")
+    return [
+        IntersectionCurve(points=tuple(c), kind="arc", ends=(), pair=pair) for c in chains
+    ] + [
+        IntersectionCurve(points=tuple(c), kind="circle", ends=(), pair=pair) for c in loops
+    ]
 
 
 def reversed_intersection(curves, pair):

@@ -12,30 +12,33 @@ from masseylink.drawing import (
     _DIAMOND,
     _MIN_CLEAR2,
     _diamond_exit,
+    _on_seg2,
     _strictly_between,
     _too_close,
     draw_diagram,
     point_in_polygon,
     seg2_intersection,
+    seg2_properly_intersect,
+    segments_touch,
 )
 from masseylink.embed import (
     _essential_vertices,
     _same_cycle,
     _wall_and_polygon,
-    boundary_torus,
     build_embedding,
     meridian,
     pushoff_cycle,
     seifert_circles,
     verify_embedding,
 )
-from masseylink.errors import NonRealizable, NotGeneric, TubeTooLarge
+from masseylink.errors import NonRealizable, NotGeneric
 from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
 from masseylink.plgeom import (
     BoxIndex,
     PLCurve,
     PLSurface,
     curve_surface_count,
+    lift,
     orient2,
     qpoint as P,
 )
@@ -58,9 +61,9 @@ def _euler(surface):
 
 
 def test_drawing_realizes_slot_rotation(borromean):
-    assert len(draw_diagram(borromean).crossing_geo) == 6
+    assert len([s.geo for s in draw_diagram(borromean).stations]) == 6
     for name in fixture_names():
-        for g in draw_diagram(load_fixture(name)).crossing_geo:
+        for g in [s.geo for s in draw_diagram(load_fixture(name)).stations]:
             # the chords cross at an interior point of both passages
             assert g.point != g.under_chord[0] and g.point != g.under_chord[1]
             assert g.point != g.over_chord[0] and g.point != g.over_chord[1]
@@ -108,7 +111,7 @@ def test_diamond_exits_are_in_strictly_convex_position():
         + [(sx * 10**6, sy) for sx, sy in signs]
     )
     clasp_arms = []
-    for g in draw_diagram(clasp_family(8)).crossing_geo:
+    for g in [s.geo for s in draw_diagram(clasp_family(8)).stations]:
         X = g.center
         ends = [*g.under_chord, *g.over_chord]
         clasp_arms += [(e[0] - X[0], e[1] - X[1]) for e in ends]
@@ -139,6 +142,72 @@ def test_coordinates_fit_in_128_bits():
         assert bits <= 128, (d.comment, bits)
 
 
+def _touch_all_pairs(segs):
+    """Reference for segments_touch: every pair, no sweep and no box reject."""
+    for (a, b), (c, d) in combinations(segs, 2):
+        shared = {a, b} & {c, d}
+        if not shared:
+            if seg2_properly_intersect(a, b, c, d):
+                return True
+            continue
+        if len(shared) > 1:
+            return True
+        if any(_on_seg2(a, b, q) and q not in (a, b) for q in (c, d)):
+            return True
+        if any(_on_seg2(c, d, q) and q not in (c, d) for q in (a, b)):
+            return True
+    return False
+
+
+def _random_segment(rng):
+    # a 5 x 5 grid gives collinear overlaps, shared endpoints, vertical
+    # segments and x ranges that meet in a single value
+    while True:
+        a, b = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2)]
+        if a != b:
+            return a, b
+
+
+def test_segments_touch_matches_all_pairs():
+    rng = random.Random(1215)
+    cases = [
+        [((0, 0), (4, 0)), ((2, 0), (6, 0))],        # collinear overlap
+        [((0, 0), (4, 0)), ((4, 0), (6, 0))],        # collinear, one end shared
+        [((0, 0), (4, 0)), ((4, 0), (2, 0))],        # folds back over a shared end
+        [((0, 0), (4, 0)), ((0, 0), (4, 0))],        # the same segment twice
+        [((2, 0), (2, 4)), ((0, 2), (4, 2))],        # vertical through horizontal
+        [((0, 0), (2, 2)), ((2, 3), (4, 0))],        # x ranges meet only at 2
+        [((0, 0), (2, 2)), ((2, 2), (4, 0))],        # ... and share an end there
+        [((0, 4), (2, 2)), ((2, 1), (2, 3))],        # an end inside a vertical
+    ]
+    cases += [[_random_segment(rng) for _ in range(rng.randint(2, 6))]
+              for _ in range(600)]
+    # each pair of the small sets alone exercises the box reject
+    for segs in cases:
+        for pair in combinations(segs, 2):
+            assert segments_touch(pair) == _touch_all_pairs(pair), pair
+    # drawn arcs and cup footprints, in the integer form over one common
+    # denominator that _check_simple gets
+    for name in fixture_names():
+        d = load_fixture(name)
+        dr = draw_diagram(d)
+        paths = list(dr.arc_paths.values())
+        ints = iter(lift([p for path in paths for p in path])[1])
+        paths = [[next(ints) for _ in path] for path in paths]
+        cases.append([s for path in paths for s in zip(path, path[1:])])
+        for scope in [None] + list(range(1, d.n_components + 1)):
+            for c in seifert_circles(d, component=scope, drawing=dr).circles:
+                fp = lift(c.footprint)[1]
+                cases.append(list(zip(fp, fp[1:] + fp[:1])))
+    verdicts = []
+    for segs in cases:
+        want = _touch_all_pairs(segs)
+        assert segments_touch(segs) == want, segs
+        assert segments_touch(segs[::-1]) == want, segs
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
 def test_drawing_rejects_nonplanar_gauss():
     # the standard non-realizable Gauss sequence 1 2 3 1 2 3 on one component
     from masseylink.diagram import parse_gauss
@@ -163,7 +232,7 @@ def test_split_pieces_have_disjoint_bands():
 @pytest.mark.parametrize("word", [(1,) * 18, (1, -1) * 9], ids=["18 twists", "9 clasps"])
 def test_long_twist_regions_draw(word):
     dr = draw_diagram(braid_closure(word, 2))
-    assert len(dr.crossing_geo) == 18
+    assert len([s.geo for s in dr.stations]) == 18
 
 
 def _pieces_with_crossings(d):
@@ -445,31 +514,13 @@ def test_essential_vertices_skip_collinear_subdivisions():
     assert _essential_vertices(bent) == bent
 
 
-# -- tubes, meridians, pushoffs ----------------------------------------------
-
-
-def test_square_unknot_torus_chi_zero():
-    e = build_embedding(load_fixture("unknot0"))
-    T = boundary_torus(e, 1)
-    assert T.validate() == []  # closed
-    assert _euler(T) == 0
+# -- meridians, pushoffs -----------------------------------------------------
 
 
 def test_meridian_links_once(e_borromean):
     for i in (1, 2, 3):
         mu = meridian(e_borromean, i)
         assert curve_surface_count(mu, e_borromean.surfaces[i]) == 1
-
-
-def test_tube_too_large_raises():
-    e = build_embedding(load_fixture("unknot0"))
-    with pytest.raises(TubeTooLarge):
-        boundary_torus(e, 1, radius=100 * e.unit)
-
-
-def test_tube_must_clear_other_components(e_hopf):
-    with pytest.raises(TubeTooLarge):
-        boundary_torus(e_hopf, 1, radius=40 * e_hopf.unit)
 
 
 def test_pushoff_cycle_links_like_the_curve(e_hopf):

@@ -17,6 +17,7 @@ from masseylink.plgeom import (
     point_in_triangle,
     qpoint,
     segment_triangle,
+    stitch,
     triangle_triangle,
     v_add,
     v_cross,
@@ -279,6 +280,42 @@ def test_box_index_query_matches_exact_overlap():
 def test_boundary_curves_of_disk():
     (loop,) = _disk().boundary_curves()
     assert loop.closed and len(loop) == 4
+
+
+def _path(*xy):
+    return [P(x, y, Q(1, 3)) for x, y in xy]
+
+
+def _directed(points, closed):
+    return list(zip(points, points[1:] + points[:1] if closed else points[1:]))
+
+
+def test_stitch_is_independent_of_segment_order():
+    chains = [_path((5, 0), (1, 1), (Q(1, 2), 7)), _path((-2, 3), (4, 4))]
+    loops = [_path((9, 9), (3, 8), (8, 2)), _path((0, 0), (-1, 4), (-3, -1), (2, -2))]
+    segments = [s for c in chains for s in _directed(c, False)]
+    segments += [s for c in loops for s in _directed(c, True)]
+    # chains by first point; each loop starts at its least point, and the
+    # loops come in the order of those points
+    want = (
+        [chains[1], chains[0]],
+        [loops[1][2:] + loops[1][:2], loops[0][1:] + loops[0][:1]],
+    )
+    rng = random.Random(7)
+    for _ in range(20):
+        rng.shuffle(segments)
+        assert stitch(segments) == want
+
+
+@pytest.mark.parametrize("extra", [
+    _path((1, 1), (2, 5)),   # a second segment leaving (1, 1)
+    _path((2, 5), (3, 0)),   # a second segment entering (3, 0)
+], ids=["two_leave", "two_enter"])
+def test_stitch_rejects_branching(extra):
+    segments = _directed(_path((0, 0), (1, 1), (3, 0)), False) + [tuple(extra)]
+    for order in (segments, segments[::-1]):
+        with pytest.raises(NotGeneric, match="branch"):
+            stitch(order)
 
 
 # -- integer kernel against the rational reference ----------------------------
