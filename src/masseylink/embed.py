@@ -231,11 +231,16 @@ def _ear_clip(poly2, orient):
             a, b, c = poly2[i0], poly2[i1], poly2[i2]
             if orient2(a, b, c) != orient:
                 continue
+            # a vertex outside the triangle's box is outside the triangle
+            x0, x1 = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
+            y0, y1 = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
             ok = True
             for j in idx:
                 if j in (i0, i1, i2):
                     continue
-                if _in_closed_tri2(a, b, c, poly2[j], orient):
+                p = poly2[j]
+                if (x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+                        and _in_closed_tri2(a, b, c, p, orient)):
                     ok = False
                     break
             if ok:
@@ -279,6 +284,10 @@ class EmbeddedLink:
     # trace.embedded_intersection; a copy made by dataclasses.replace
     # starts empty
     intersections: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    # (a, b) -> pierce points of K_a through F_b, filled by
+    # trace.trace_derived_boundary; also empty in a replaced copy
+    pierces: dict = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
 

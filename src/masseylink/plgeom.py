@@ -14,6 +14,7 @@ Intersection results are tagged tuples:
 """
 
 import json
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -477,10 +478,24 @@ class PLCurve:
     def reversed(self):
         return PLCurve(list(reversed(self.vertices)), self.closed)
 
+    @cached_property
+    def _segment_boxes(self):
+        """Float box (lo x, y, z, hi x, y, z) of each segment, as in BoxIndex."""
+        return [_box_row(seg) for seg in self.segments()]
+
     def locate(self, p):
-        """Position (seg_index + t in [0,1)) of p on the curve, or None."""
-        for i, (a, b) in enumerate(self.segments()):
-            t = _seg_point_param(a, b, p)
+        """Position (seg_index + t in [0,1)) of p on the curve, or None.
+
+        A segment whose float box misses float(p) cannot hold p (rounding
+        is monotone), so skipping it keeps the first hit of the scan.
+        """
+        x, y, z = (float(c) for c in p)
+        vs = self.vertices
+        n = len(vs)
+        for i, (x0, y0, z0, x1, y1, z1) in enumerate(self._segment_boxes):
+            if not (x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1):
+                continue
+            t = _seg_point_param(vs[i], vs[(i + 1) % n], p)
             if t is not None and t < 1:
                 return Q(i) + t
         # closed curve: p may equal the final wrap vertex handled above;
@@ -531,13 +546,15 @@ class PLSurface:
     Triangles are ordered vertex triples; the winding defines the
     orientation.  Interior edges must be shared by exactly two triangles
     with opposite induced directions.  ``lifted`` holds the IntTriangle of
-    each triangle, made once here for the exact kernel, and ``index`` the
-    one BoxIndex of the triangles, built from those integer forms.
+    each triangle, made once here for the exact kernel, ``planes`` its
+    integer plane (n, k) at the triangle's own denominator, and ``index``
+    the one BoxIndex of the triangles, built from those integer forms.
     """
 
     def __init__(self, triangles):
         self.triangles = [tuple(_qvertex(v) for v in t) for t in triangles]
         self.lifted = [int_triangle(t) for t in self.triangles]
+        self.planes = [_plane(it.verts) for it in self.lifted]
         self.index = BoxIndex(self.lifted)
 
     def __len__(self):
@@ -690,44 +707,47 @@ class BoxIndex:
 # signed curve-surface intersection counts
 
 
-def _segment_crossings(seg, surface):
-    """Yield (t, point, sign, tri_index) for transversal pierces of one
-    segment."""
-    Ds, S = lift(seg)
-    for ti in surface.index.query(_bbox(seg)):
-        Dt, T, _ = surface.lifted[ti]
-        D, (p0, p1), T = _common(Ds, S, Dt, T)
-        n, k = _plane(T)
-        d0, d1 = v_dot(n, p0) - k, v_dot(n, p1) - k
-        s0, s1 = sign(d0), sign(d1)
-        if s0 == 0 or s1 == 0:
-            # an endpoint lies on the plane: harmless when outside the
-            # triangle, degenerate when touching it
-            edges = _edge_planes(T, n)
-            for p, s in ((p0, s0), (p1, s1)):
-                if s == 0 and _where(edges, p, 1) != "outside":
-                    raise NotGeneric("curve vertex on surface")
-            continue
-        if s0 == s1:
-            continue
-        X, W = _crossing(p0, p1, d0, d1)
-        where = _where(_edge_planes(T, n), X, W)
-        if where == "outside":
-            continue
-        if where != "interior":
-            raise NotGeneric("curve crosses a triangle edge of the surface")
-        yield Q(d0, d0 - d1), _rational((X, W, None), D), (1 if s0 < 0 else -1), ti
-
-
 def curve_surface_crossings(curve, surface):
     """All transversal pierce events of a PLCurve through a PLSurface,
-    as (position, point, sign, triangle index) sorted along the curve."""
+    as (position, point, sign, triangle index) sorted along the curve.
+
+    The curve is lifted once to (Dc, P) and each triangle's plane (n, k)
+    is taken at its own denominator Dt, so the plane value
+    d = Dt n . P - Dc k of a curve vertex is a positive multiple of the
+    value at the common denominator of segment and triangle: every sign,
+    every parameter d0 / (d0 - d1) and every point class is that one's.
+    """
+    Dc, P = lift(curve.vertices)
+    m = len(P)
     events = []
-    for si, seg in enumerate(curve.segments()):
-        for t, x, s, ti in _segment_crossings(seg, surface):
-            if x == seg[0] or x == seg[1]:
-                raise NotGeneric("pierce at a curve vertex")
-            events.append((Q(si) + t, x, s, ti))
+    for si in range(m if curve.closed else m - 1):
+        p0, p1 = P[si], P[(si + 1) % m]
+        box = [min(a, b) / Dc for a, b in zip(p0, p1)]
+        box += [max(a, b) / Dc for a, b in zip(p0, p1)]
+        for ti in surface.index.query(box):
+            Dt, T, _ = surface.lifted[ti]
+            n, k = surface.planes[ti]
+            d0, d1 = Dt * v_dot(n, p0) - Dc * k, Dt * v_dot(n, p1) - Dc * k
+            s0, s1 = sign(d0), sign(d1)
+            if s0 == 0 or s1 == 0:
+                # an endpoint lies on the plane: harmless when outside the
+                # triangle, degenerate when touching it
+                edges = _edge_planes(T, n)
+                for p, s in ((p0, s0), (p1, s1)):
+                    if s == 0 and _where(edges, v_scale(p, Dt), Dc) != "outside":
+                        raise NotGeneric("curve vertex on surface")
+                continue
+            if s0 == s1:
+                continue
+            # 0 < d0 / (d0 - d1) < 1: the pierce is never a segment end
+            X, W = _crossing(p0, p1, d0, d1)
+            where = _where(_edge_planes(T, n), v_scale(X, Dt), W * Dc)
+            if where == "outside":
+                continue
+            if where != "interior":
+                raise NotGeneric("curve crosses a triangle edge of the surface")
+            events.append((si + Q(d0, d0 - d1), _rational((X, W, None), Dc),
+                           1 if s0 < 0 else -1, ti))
     events.sort(key=lambda ev: ev[0])
     return events
 

@@ -202,21 +202,26 @@ def _next_after(positions, pos, ok, stuck):
     raise StuckTrace(stuck)
 
 
+def _balanced_pierces(K_a, F_b, pair):
+    """The pierces of K_a through F_b as a tuple; NonzeroLinking unless
+    their labels sum to zero."""
+    pierces = tuple(pierce_points(K_a, F_b, component=pair[0]))
+    total = sum(p.label for p in pierces)
+    if total != 0:
+        raise NonzeroLinking("pierce labels of pair %r sum to %d" % (pair, total))
+    return pierces
+
+
 def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0)):
     """Derived boundary of the ordered pair, on explicit curves/surfaces."""
-    return _trace(K_a, K_b, F_b, pair, lambda: surface_intersection(F_a, F_b, pair))
+    return _trace(K_a, K_b, _balanced_pierces(K_a, F_b, pair), pair,
+                  lambda: surface_intersection(F_a, F_b, pair))
 
 
-def _trace(K_a, K_b, F_b, pair, intersect):
+def _trace(K_a, K_b, pierces, pair, intersect):
     """Derived boundary from the pierces of K_a through F_b and the
     intersection curves that `intersect()` returns."""
     a_id, b_id = pair
-    pierces = pierce_points(K_a, F_b, component=a_id)
-    if sum(p.label for p in pierces) != 0:
-        raise NonzeroLinking(
-            "pierce labels of pair %r sum to %d"
-            % (pair, sum(p.label for p in pierces))
-        )
     curves = intersect()
 
     pierce_at = {p.location: p for p in pierces}
@@ -364,7 +369,7 @@ def _trace(K_a, K_b, F_b, pair, intersect):
             (BoundaryPiece(kind="circle", component=None, points=c.points,
                            span=None),)
         )
-    db = DerivedBoundary(pair=pair, loops=tuple(loops), pierce_points=tuple(pierces))
+    db = DerivedBoundary(pair=pair, loops=tuple(loops), pierce_points=pierces)
     _check_closed(db)
     return db
 
@@ -380,10 +385,19 @@ def _check_closed(db):
 
 
 def trace_derived_boundary(e, a, b):
-    """Derived boundary of an embedded pair; requires lk(a, b) = 0."""
+    """Derived boundary of an embedded pair; requires lk(a, b) = 0.
+
+    The pierces of K_a through F_b are found once per ordered pair and
+    kept in ``e.pierces``; a NotGeneric or NonzeroLinking propagates before
+    anything is stored.
+    """
     if e.diagram.linking_number(a, b) != 0:
         raise NonzeroLinking(
             "lk(%d,%d) = %d" % (a, b, e.diagram.linking_number(a, b))
         )
-    return _trace(e.curves[a], e.curves[b], e.surfaces[b], (a, b),
+    pierces = e.pierces.get((a, b))
+    if pierces is None:
+        pierces = _balanced_pierces(e.curves[a], e.surfaces[b], (a, b))
+        e.pierces[(a, b)] = pierces
+    return _trace(e.curves[a], e.curves[b], pierces, (a, b),
                   lambda: embedded_intersection(e, a, b))

@@ -21,8 +21,10 @@ from masseylink.drawing import (
     seg2_properly_intersect,
     segments_touch,
 )
+from masseylink import embed
 from masseylink.embed import (
     _essential_vertices,
+    _in_closed_tri2,
     _same_cycle,
     _wall_and_polygon,
     build_embedding,
@@ -457,6 +459,47 @@ def test_surface_index_matches_rational_boxes(case):
     for e in _embeddings(case):
         for i, surf in e.surfaces.items():
             assert surf.index.arr == BoxIndex(surf.triangles).arr
+
+
+def _ear_clip_unfiltered(poly2, orient):
+    """embed._ear_clip without its bbox reject: every remaining vertex is
+    tested against the closed ear."""
+    idx = list(range(len(poly2)))
+    tris = []
+    while len(idx) > 3:
+        n = len(idx)
+        for k in range(n):
+            i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
+            a, b, c = poly2[i0], poly2[i1], poly2[i2]
+            if orient2(a, b, c) == orient and not any(
+                    j not in (i0, i1, i2) and _in_closed_tri2(a, b, c, poly2[j], orient)
+                    for j in idx):
+                tris.append((i0, i1, i2))
+                idx.pop(k)
+                break
+        else:
+            raise NotGeneric("no clippable ear found")
+    i0, i1, i2 = idx
+    if orient2(poly2[i0], poly2[i1], poly2[i2]) == orient:
+        tris.append((i0, i1, i2))
+    return tris
+
+
+def test_ear_clip_reject_keeps_every_ear(monkeypatch):
+    footprints = []
+    orig = embed._ear_clip
+
+    def recording(poly2, orient):
+        footprints.append((poly2, orient))
+        return orig(poly2, orient)
+
+    monkeypatch.setattr(embed, "_ear_clip", recording)
+    for d in ([load_fixture(name) for name in fixture_names()]
+              + [clasp_family(k) for k in range(1, 9)]):
+        build_embedding(d)
+    assert len(footprints) > 50
+    for poly2, orient in footprints:
+        assert orig(poly2, orient) == _ear_clip_unfiltered(poly2, orient)
 
 
 def _rim(*xyz):

@@ -1,18 +1,31 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from masseylink import trace
+from masseylink.embed import build_embedding, meridian, pushoff_cycle
 from masseylink.errors import NotGeneric
+from masseylink.fixtures import clasp_family, fixture_names, load_fixture
 from masseylink.plgeom import (
     BoxIndex,
     PLCurve,
     PLSurface,
     _bbox,
+    _common,
+    _crossing,
+    _edge_planes,
+    _plane,
+    _rational,
+    _seg_point_param,
+    _where,
     curve_surface_count,
+    curve_surface_crossings,
     int_triangle,
+    lift,
     orient3,
     point_in_triangle,
     qpoint,
@@ -21,9 +34,12 @@ from masseylink.plgeom import (
     triangle_triangle,
     v_add,
     v_cross,
+    v_dot,
+    v_scale,
     v_sub,
 )
 from masseylink.rational import Q
+from masseylink.trace import trace_derived_boundary
 
 
 P = qpoint
@@ -182,6 +198,94 @@ def test_count_degenerate_vertex_on_surface():
         curve_surface_count(bad, _disk())
 
 
+def _ref_segment_crossings(seg, surface):
+    """Pierces of one segment, each candidate triangle brought to the
+    common denominator of segment and triangle (the per-segment kernel
+    curve_surface_crossings replaced)."""
+    Ds, S = lift(seg)
+    for ti in surface.index.query(_bbox(seg)):
+        Dt, T, _ = surface.lifted[ti]
+        D, (p0, p1), T = _common(Ds, S, Dt, T)
+        n, k = _plane(T)
+        d0, d1 = v_dot(n, p0) - k, v_dot(n, p1) - k
+        s0, s1 = _ref_sign(d0), _ref_sign(d1)
+        if s0 == 0 or s1 == 0:
+            edges = _edge_planes(T, n)
+            for p, s in ((p0, s0), (p1, s1)):
+                if s == 0 and _where(edges, p, 1) != "outside":
+                    raise NotGeneric("curve vertex on surface")
+            continue
+        if s0 == s1:
+            continue
+        X, W = _crossing(p0, p1, d0, d1)
+        where = _where(_edge_planes(T, n), X, W)
+        if where == "outside":
+            continue
+        if where != "interior":
+            raise NotGeneric("curve crosses a triangle edge of the surface")
+        yield Q(d0, d0 - d1), _rational((X, W, None), D), (1 if s0 < 0 else -1), ti
+
+
+def _ref_curve_surface_crossings(curve, surface):
+    events = []
+    for si, seg in enumerate(curve.segments()):
+        for t, x, s, ti in _ref_segment_crossings(seg, surface):
+            events.append((Q(si) + t, x, s, ti))
+    events.sort(key=lambda ev: ev[0])
+    return events
+
+
+def _crossings_or_error(fn, curve, surface):
+    try:
+        return fn(curve, surface)
+    except NotGeneric as exc:
+        return "NotGeneric: %s" % exc
+
+
+def _kernel_cases():
+    """(name, curves, surfaces) for the crossing-kernel differential."""
+    for name in fixture_names():
+        e = build_embedding(load_fixture(name))
+        yield name, list(e.curves.values()), list(e.surfaces.values())
+    for k in (1, 2, 3):
+        e = build_embedding(clasp_family(k))
+        curves = []
+        for i, c in e.curves.items():
+            curves += [c, pushoff_cycle(c, e.tube_radius), meridian(e, i)]
+        for a, b in ((1, 2), (2, 3), (3, 1), (2, 1)):
+            curves += trace_derived_boundary(e, a, b).loop_curves()
+        yield "clasp_family(%d)" % k, curves, list(e.surfaces.values())
+
+
+def test_curve_surface_crossings_match_per_segment_reference():
+    events = raised = 0
+    for name, curves, surfaces in _kernel_cases():
+        for ci, curve in enumerate(curves):
+            for si, surf in enumerate(surfaces):
+                want = _crossings_or_error(_ref_curve_surface_crossings, curve, surf)
+                got = _crossings_or_error(curve_surface_crossings, curve, surf)
+                assert got == want, (name, ci, si)
+                if isinstance(want, str):
+                    raised += 1
+                else:
+                    events += len(want)
+    assert events > 0 and raised > 0
+
+
+@pytest.mark.parametrize("curve, message", [
+    # a vertex inside the lower triangle of the disk
+    (PLCurve([P(Q(1, 2), 0, 0), P(1, 0, 1), P(0, 1, 1)]), "curve vertex on surface"),
+    # through the diagonal edge the disk's two triangles share
+    (PLCurve([P(Q(1, 3), Q(1, 3), -1), P(Q(1, 3), Q(1, 3), 1), P(5, 5, 1)]),
+     "curve crosses a triangle edge of the surface"),
+])
+def test_curve_surface_crossings_degenerate_like_reference(curve, message):
+    for c in (curve, curve.reversed(), PLCurve(curve.vertices, closed=False)):
+        for fn in (_ref_curve_surface_crossings, curve_surface_crossings):
+            with pytest.raises(NotGeneric, match=message):
+                fn(c, _disk())
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([1, 3, 5]), st.integers(1, 5))
 def test_count_invariant_under_subdivision(ku, kv):
@@ -275,6 +379,55 @@ def test_box_index_query_matches_exact_overlap():
                 assert found == sorted(exact)
             else:
                 assert found == sorted(set(found)) and exact <= set(found)
+
+
+def _ref_locate(curve, p):
+    """The linear scan PLCurve.locate filters by segment boxes."""
+    for i, (a, b) in enumerate(curve.segments()):
+        t = _seg_point_param(a, b, p)
+        if t is not None and t < 1:
+            return Q(i) + t
+    if not curve.closed and p == curve.vertices[-1]:
+        return Q(len(curve.vertices) - 1)
+    return None
+
+
+def _locate_queries(rng, curve):
+    """Points on eight seeded segments, on their extensions and just off
+    the curve."""
+    out = []
+    segs = curve.segments()
+    for a, b in rng.sample(segs, min(8, len(segs))):
+        t = Q(rng.randint(0, 40), rng.randint(1, 40))
+        p = v_add(a, v_scale(v_sub(b, a), t % 1))
+        ahead = v_scale(v_sub(b, a), t + Q(1, 89))
+        out += [p, v_sub(a, ahead), v_add(b, ahead),
+                v_add(p, (Q(0), Q(0), Q(1, rng.randint(2, 1000))))]
+    return out
+
+
+def test_locate_matches_linear_scan():
+    rng = random.Random("locate")
+    diagrams = ([load_fixture(name) for name in fixture_names()]
+                + [clasp_family(k) for k in (1, 2, 3)])
+    found = set()
+    for d in diagrams:
+        e = build_embedding(d)
+        ends = [p for a, b in permutations(sorted(e.curves), 2)
+                for c in trace.embedded_intersection(e, a, b) if c.kind == "arc"
+                for p in (c.points[0], c.points[-1])]
+        for c in e.curves.values():
+            vs = c.vertices
+            m = len(vs) // 2 + 2
+            half = PLCurve(vs[:m], closed=False)
+            # every vertex and arc end on the closed curve; on the open
+            # half its last vertex and the vertex after it
+            for curve, more in ((c, vs + ends), (half, vs[m - 1:m + 1])):
+                for p in _locate_queries(rng, curve) + more:
+                    want = _ref_locate(curve, p)
+                    assert curve.locate(p) == want, p
+                    found.add(want is None)
+    assert found == {True, False}
 
 
 def test_boundary_curves_of_disk():

@@ -193,6 +193,7 @@ def test_pair_reversal_negates_arcs_on_embedding():
 
 
 def test_cached_trace_equals_uncached_trace():
+    # the first trace of a pair fills both caches, the second reads them
     traced = 0
     for name, e in _cases():
         for a, b in _ordered_pairs(e):
@@ -200,6 +201,8 @@ def test_cached_trace_equals_uncached_trace():
                 continue
             uncached = trace_pair(e.curves[a], e.curves[b], e.surfaces[a],
                                   e.surfaces[b], pair=(a, b))
+            assert trace_derived_boundary(e, a, b) == uncached, (name, a, b)
+            assert e.pierces[(a, b)] == uncached.pierce_points, (name, a, b)
             assert trace_derived_boundary(e, a, b) == uncached, (name, a, b)
             traced += bool(uncached.loops)
     assert traced > 0
@@ -277,6 +280,72 @@ def test_replaced_embedding_starts_with_empty_cache(borromean):
     trace_derived_boundary(e, 1, 2)
     assert list(e.intersections) == [(1, 2)]
     assert dataclasses.replace(e).intersections == {}
+
+
+def _count_pierces(monkeypatch, fail=None):
+    """Record (a, id of F_b) per pierce_points call; `fail` makes the first
+    call raise NotGeneric ("raise") or drop all pierces but one
+    ("unbalanced")."""
+    calls = []
+    orig = trace.pierce_points
+
+    def counting(K_a, F_b, component=0):
+        calls.append((component, id(F_b)))
+        if fail == "raise" and len(calls) == 1:
+            raise NotGeneric("forced degeneracy")
+        found = orig(K_a, F_b, component)
+        return found[:1] if fail == "unbalanced" and len(calls) == 1 else found
+
+    monkeypatch.setattr(trace, "pierce_points", counting)
+    return calls
+
+
+def _pairs_of(calls, e):
+    ids = {id(s): b for b, s in e.surfaces.items()}
+    return [(a, ids[f]) for a, f in calls]
+
+
+def test_six_orderings_pierce_each_ordered_pair_once(borromean, monkeypatch):
+    e = build_embedding(borromean)
+    calls = _count_pierces(monkeypatch)
+    values = {o: massey3(e, o).value for o in permutations((1, 2, 3))}
+    assert sorted(_pairs_of(calls, e)) == list(permutations((1, 2, 3), 2))
+    assert sorted(e.pierces) == list(permutations((1, 2, 3), 2))
+    assert set(values.values()) == {1, -1}
+
+
+@pytest.mark.parametrize("fail, error", [("raise", NotGeneric),
+                                         ("unbalanced", NonzeroLinking)])
+def test_failed_pierces_are_not_cached(borromean, monkeypatch, fail, error):
+    e = build_embedding(borromean)
+    calls = _count_pierces(monkeypatch, fail)
+    with pytest.raises(error):
+        trace_derived_boundary(e, 1, 2)
+    assert e.pierces == {}
+    db = trace_derived_boundary(e, 1, 2)
+    assert _pairs_of(calls, e) == [(1, 2), (1, 2)]
+    assert list(e.pierces) == [(1, 2)]
+    assert db == trace_pair(e.curves[1], e.curves[2], e.surfaces[1],
+                            e.surfaces[2], pair=(1, 2))
+    assert len(db.pierce_points) == 2
+
+
+def test_retry_after_not_generic_pierce_rebuilds_with_empty_cache(borromean, monkeypatch):
+    e = build_embedding(borromean)
+    calls = _count_pierces(monkeypatch, "raise")
+    r = massey3(e, (1, 2, 3))
+    assert e.pierces == {}
+    assert r.embedding is not e and r.embedding.perturb_index == 1
+    assert sorted(r.embedding.pierces) == [(1, 2), (2, 3)]
+    assert len(calls) == 3
+    assert (r.term_first, r.term_second) == (1, 0)
+
+
+def test_replaced_embedding_starts_with_empty_pierces(borromean):
+    e = build_embedding(borromean)
+    trace_derived_boundary(e, 1, 2)
+    assert list(e.pierces) == [(1, 2)]
+    assert dataclasses.replace(e).pierces == {}
 
 
 def test_trace_pierces_are_consumed_once(e_borromean):
