@@ -481,15 +481,8 @@ class RelativePair:
 
     def relative_intersection_product(self, a_bar, b_bar):
         """C_p(K,L) x C_q(K*,L*) -> C_{p+q-n}(K',L')."""
-        if a_bar.dim + b_bar.dim < self.dual.n:
-            raise DimensionMismatch("product needs p + q >= n")
-        b_red = self.reduce_cells(b_bar)
-        v = Cochain(self.dual.n - b_red.dim, dict(b_red.coeffs))
-        prod = cap(
-            self.dual.sub.sd(self.reduce_K(a_bar)),
-            self.dual.sub.theta_pullback(v),
-        )
-        return self.reduce_Kp(prod)
+        return self.reduce_Kp(self.dual.intersection_product(
+            self.reduce_K(a_bar), self.reduce_cells(b_bar)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,131 +595,116 @@ def verify_suite(complex_name="boundary_delta4", seed=0, cases=200):
     sub = dual.sub
     n = dual.n
     rng = random.Random(seed)
-    report = {"complex": complex_name, "seed": seed, "cases": cases, "identities": {}}
 
-    def record(name, checked, failures):
-        report["identities"][name] = {"checked": checked, "failures": failures}
+    # each identity yields its (lhs, rhs) cases; the randomized ones draw
+    # from `rng` in table order
 
     # collapse/subdivision identities, exhaustive on bases
-    checked = failures = 0
-    for s in K.all_simplices():
-        c = Chain(len(s) - 1, {s: 1})
-        checked += 1
-        if sub.theta_chain(sub.sd(c)) != c:
-            failures += 1
-    record("theta_after_sd_is_identity", checked, failures)
+    def theta_after_sd_is_identity():
+        for s in K.all_simplices():
+            c = Chain(len(s) - 1, {s: 1})
+            yield sub.theta_chain(sub.sd(c)), c
 
-    checked = failures = 0
-    for s in K.all_simplices():
-        u = u_basis(s)
-        checked += 1
-        if sub.sd_pullback(sub.theta_pullback(u)) != u:
-            failures += 1
-    record("sd_pullback_after_theta_pullback_is_identity", checked, failures)
+    def sd_pullback_after_theta_pullback_is_identity():
+        for s in K.all_simplices():
+            u = u_basis(s)
+            yield sub.sd_pullback(sub.theta_pullback(u)), u
 
-    checked = failures = 0
-    for s in K.all_simplices():
-        c = Chain(len(s) - 1, {s: 1})
-        checked += 1
-        if boundary(sub.sd(c)) != sub.sd(boundary(c)):
-            failures += 1
-    record("sd_is_a_chain_map", checked, failures)
+    def sd_is_a_chain_map():
+        for s in K.all_simplices():
+            c = Chain(len(s) - 1, {s: 1})
+            yield boundary(sub.sd(c)), sub.sd(boundary(c))
 
     # duality: phi(delta u_s) = (-1)^(p+1) boundary D(s), realized in K'
-    checked = failures = 0
-    for s in K.all_simplices():
-        p = len(s) - 1
-        if p == n:
-            continue
-        lhs = dual.realize(dual.phi(coboundary(K, u_basis(s))))
-        rhs = (-1) ** (p + 1) * boundary(dual.dual_cell(s))
-        checked += 1
-        if lhs != rhs:
-            failures += 1
-    record("phi_coboundary_identity", checked, failures)
+    def phi_coboundary_identity():
+        for s in K.all_simplices():
+            p = len(s) - 1
+            if p == n:
+                continue
+            yield (dual.realize(dual.phi(coboundary(K, u_basis(s)))),
+                   (-1) ** (p + 1) * boundary(dual.dual_cell(s)))
 
     # Leibniz boundary formula.  The realized products obey
     #   boundary(a.b) = (-1)^(n-q) boundary(a).b + a.boundary(b)
     # uniformly; on odd-dimensional manifolds (the case the linking theory
     # lives in, n = 3) the last sign equals the classical (-1)^(n+1).
-    checked = failures = 0
-    for _ in range(cases):
-        p = rng.randint(1, n)
-        qmin = max(n - p + 1, 1)
-        if qmin > n:
-            continue
-        q = rng.randint(qmin, n)
-        a = _random_chain(rng, K.simplices(p), p)
-        b_cells = _random_cochain(rng, K.simplices(n - q), n - q)
-        b = dual.phi(b_cells)
-        lhs = boundary(dual.intersection_product(a, b))
-        rhs = (-1) ** (n - q) * dual.intersection_product(
-            boundary(a), b
-        ) + dual.intersection_product(a, dual.dual_boundary(b))
-        checked += 1
-        if lhs != rhs:
-            failures += 1
-    record("leibniz_boundary_formula", checked, failures)
+    def leibniz_boundary_formula():
+        for _ in range(cases):
+            p = rng.randint(1, n)
+            qmin = max(n - p + 1, 1)
+            if qmin > n:
+                continue
+            q = rng.randint(qmin, n)
+            a = _random_chain(rng, K.simplices(p), p)
+            b_cells = _random_cochain(rng, K.simplices(n - q), n - q)
+            b = dual.phi(b_cells)
+            yield (boundary(dual.intersection_product(a, b)),
+                   (-1) ** (n - q) * dual.intersection_product(boundary(a), b)
+                   + dual.intersection_product(a, dual.dual_boundary(b)))
 
     # cap through the subdivision (collapse compatibility)
-    checked = failures = 0
-    for _ in range(cases):
-        p = rng.randint(0, n)
-        m = rng.randint(p, n)
-        a = _random_chain(rng, K.simplices(m), m)
-        beta = _random_cochain(rng, K.simplices(p), p)
-        lhs = cap(a, beta)
-        rhs = sub.theta_chain(cap(sub.sd(a), sub.theta_pullback(beta)))
-        checked += 1
-        if lhs != rhs:
-            failures += 1
-    record("cap_collapse_compatibility", checked, failures)
+    def cap_collapse_compatibility():
+        for _ in range(cases):
+            p = rng.randint(0, n)
+            m = rng.randint(p, n)
+            a = _random_chain(rng, K.simplices(m), m)
+            beta = _random_cochain(rng, K.simplices(p), p)
+            yield (cap(a, beta),
+                   sub.theta_chain(cap(sub.sd(a), sub.theta_pullback(beta))))
 
     # cup evaluated against the double intersection product
-    checked = failures = 0
-    for _ in range(cases):
-        p = rng.randint(1, n - 1)
-        q = rng.randint(1, n - p)
-        alpha = _random_cochain(rng, K.simplices(p), p)
-        beta = _random_cochain(rng, K.simplices(q), q)
-        T = _random_chain(rng, K.simplices(p + q), p + q)
-        lhs, rhs = evaluate_triple_pairing(dual, T, alpha, beta)
-        checked += 1
-        if lhs != rhs:
-            failures += 1
-    record("cup_equals_double_intersection", checked, failures)
+    def cup_equals_double_intersection():
+        for _ in range(cases):
+            p = rng.randint(1, n - 1)
+            q = rng.randint(1, n - p)
+            alpha = _random_cochain(rng, K.simplices(p), p)
+            beta = _random_cochain(rng, K.simplices(q), q)
+            T = _random_chain(rng, K.simplices(p + q), p + q)
+            yield evaluate_triple_pairing(dual, T, alpha, beta)
 
-    # support of the product inside both supports
-    checked = failures = 0
-    for s in K.simplices(n - 1):
-        for t in (s[:-1], s[1:]):
-            if len(t) - 1 + len(s) - 1 < n:
-                continue
-            prod = dual.intersection_product(
-                Chain(len(s) - 1, {s: 1}), dual.phi(u_basis(t))
-            )
-            sd_supp = _closure(sub.sd(Chain(len(s) - 1, {s: 1})).support())
-            d_supp = _closure(dual.dual_cell(t).support())
-            checked += 1
-            if not set(prod.support()) <= (sd_supp & d_supp):
-                failures += 1
-    record("product_support_inclusion", checked, failures)
+    # support of the product inside both supports: nothing outside them
+    def product_support_inclusion():
+        for s in K.simplices(n - 1):
+            for t in (s[:-1], s[1:]):
+                if len(t) - 1 + len(s) - 1 < n:
+                    continue
+                prod = dual.intersection_product(
+                    Chain(len(s) - 1, {s: 1}), dual.phi(u_basis(t))
+                )
+                sd_supp = _closure(sub.sd(Chain(len(s) - 1, {s: 1})).support())
+                d_supp = _closure(dual.dual_cell(t).support())
+                yield set(prod.support()) - (sd_supp & d_supp), set()
 
     # cycle . boundary bounds, by explicit filling (Leibniz with da = 0)
-    checked = failures = 0
-    for _ in range(max(1, cases // 10)):
-        b = dual.phi(_random_cochain(rng, K.simplices(0), 0))
-        a = dual.xi  # a cycle
-        db = dual.dual_boundary(b)
-        if a.dim + db.dim < n:
-            continue
-        prod = dual.intersection_product(a, db)
-        filling = dual.intersection_product(a, b)
-        checked += 1
-        if boundary(filling) != prod:
-            failures += 1
-    record("cycle_dot_boundary_bounds", checked, failures)
+    def cycle_dot_boundary_bounds():
+        for _ in range(max(1, cases // 10)):
+            b = dual.phi(_random_cochain(rng, K.simplices(0), 0))
+            a = dual.xi  # a cycle
+            db = dual.dual_boundary(b)
+            if a.dim + db.dim < n:
+                continue
+            yield (boundary(dual.intersection_product(a, b)),
+                   dual.intersection_product(a, db))
 
+    report = {"complex": complex_name, "seed": seed, "cases": cases, "identities": {}}
+    for identity in (
+        theta_after_sd_is_identity,
+        sd_pullback_after_theta_pullback_is_identity,
+        sd_is_a_chain_map,
+        phi_coboundary_identity,
+        leibniz_boundary_formula,
+        cap_collapse_compatibility,
+        cup_equals_double_intersection,
+        product_support_inclusion,
+        cycle_dot_boundary_bounds,
+    ):
+        checked = failures = 0
+        for lhs, rhs in identity():
+            checked += 1
+            failures += lhs != rhs
+        report["identities"][identity.__name__] = {
+            "checked": checked, "failures": failures,
+        }
     report["pass"] = all(
         v["failures"] == 0 for v in report["identities"].values()
     )

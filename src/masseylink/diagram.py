@@ -224,17 +224,26 @@ def parse_pd(text):
     return build_diagram(tuples)
 
 
+def _is_int(v):
+    """A JSON integer; JSON's true and false are not counts."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def diagram_from_json(doc):
-    if not isinstance(doc, dict) or "crossings" not in doc:
-        raise MalformedCode("JSON diagram needs a 'crossings' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("crossings"), list):
+        raise MalformedCode("JSON diagram needs a 'crossings' list")
+    components = doc.get("components")
+    if components is not None and not _is_int(components):
+        raise MalformedCode("'components' must be an integer")
     tuples = []
     for row in doc["crossings"]:
-        if len(row) != 4 or not all(isinstance(v, int) and v > 0 for v in row):
+        if not (isinstance(row, list) and len(row) == 4
+                and all(_is_int(v) and v > 0 for v in row)):
             raise MalformedCode("each crossing must be 4 positive integers")
         tuples.append(tuple(row))
     return build_diagram(
         tuples,
-        declared_components=doc.get("components"),
+        declared_components=components,
         comment=doc.get("comment", ""),
     )
 

@@ -569,12 +569,11 @@ def _arc_interior_position(e, i):
     return Q(best[1]) + Q(1, 2)
 
 
-def meridian(e, i, pos=None, radius=None):
+def meridian(e, i):
     """Small square meridian of component i with lk(K_i, meridian) = +1."""
-    r = e.tube_radius if radius is None else radius
+    r = e.tube_radius
     curve = e.curves[i]
-    if pos is None:
-        pos = _arc_interior_position(e, i)
+    pos = _arc_interior_position(e, i)
     k = int(pos)
     a, b = curve.segments()[k % len(curve.segments())]
     p = curve.point_at(pos)

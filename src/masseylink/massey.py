@@ -14,7 +14,7 @@ invisible.
 
 from dataclasses import dataclass, field
 
-from .embed import measured, meridian, pushoff_cycle, pushoff_points
+from .embed import measured, pushoff_cycle, pushoff_points
 from .errors import MasseyUndefined
 from .plgeom import PLCurve, curve_surface_count
 from .trace import trace_derived_boundary
@@ -74,20 +74,14 @@ def _pushoff_family_count(e, spans, i, surface):
     return total
 
 
-def second_term(e, db, i, k, meridian_twists=0, longitude_twists=0):
+def second_term(e, db, i, k):
     """Count against F_k of the tube restriction of the (i, j) boundary.
 
-    Framing twists add whole meridian/longitude copies to the pushoff
-    family; by the vanishing-linking hypothesis they cannot change the
-    count, which the property suite verifies.
+    Framing twists would add whole meridian/longitude copies to the
+    pushoff family; by the vanishing-linking hypothesis each copy counts
+    zero against F_k, which the property suite verifies.
     """
-    surf = e.surfaces[k]
-    # a longitude is the pushoff of one whole-curve span
-    spans = _along_spans(db, i) + [(0, 0)] * longitude_twists
-    total = _pushoff_family_count(e, spans, i, surf)
-    for _ in range(meridian_twists):
-        total += curve_surface_count(meridian(e, i), surf)
-    return total
+    return _pushoff_family_count(e, _along_spans(db, i), i, e.surfaces[k])
 
 
 def massey3(source, ordering, grid_scale=1, perturb_index=0):

@@ -5,11 +5,16 @@ For an ordered surface pair (F_a, F_b) the intersection curves are
 oriented so that the frame (normal of F_a, normal of F_b, tangent) is
 right-handed.  With that convention every arc leaves the +1 pierce points
 of K_a through F_b and enters the -1 ones, so the closed 1-cycle bounding
-the "next level" surface can be traced deterministically: travel along
-K_a from a -1 pierce to the first unconsumed +1, follow its arc, travel
-along K_b whenever the arc lands there, skip arcs that cannot be followed,
-and close up at the start.  Circles of the intersection join the result
-as standalone loops.
+the "next level" surface can be traced deterministically by one walk: take
+the arc out of a departure, then travel along the curve it lands on to the
+next departure not yet used.  A K_a loop starts at a -1 pierce not yet
+landed on, travels along K_a to the next unused +1, follows its arc, travels
+along K_b whenever the arc lands there, and closes when it lands on its
+start again.  Arcs attached to K_b at both ends can close into K_b-only
+loops that never meet a pierce: once the K_a loops are done, one starts at
+each K_b departure still unused, in order along K_b, and closes when the
+next departure is its own start.  Circles of the intersection join the
+result as standalone loops.
 """
 
 from bisect import bisect_right
@@ -34,20 +39,13 @@ from .rational import sign
 class PiercePoint:
     location: tuple
     label: int            # +1 / -1, local crossing sign of K_a through F_b
-    component: int        # a
     position: object      # parameter along K_a
-    triangle: int         # pierced triangle of F_b
 
 
 @dataclass(frozen=True)
 class IntersectionCurve:
     points: tuple         # oriented polyline; circles omit the repeat
     kind: str             # "arc" | "circle"
-    ends: tuple           # per endpoint ("a", position) / ("b", position); () for circles
-    pair: tuple           # (a, b)
-
-    def curve(self):
-        return PLCurve(list(self.points), closed=self.kind == "circle")
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class DerivedBoundary:
 # surface-surface intersection curves
 
 
-def surface_intersection(F_a, F_b, pair=(0, 0)):
+def surface_intersection(F_a, F_b):
     """Connected oriented components of the point set F_a meet F_b.
 
     Arcs come first, then circles, each in the order of ``stitch``.
@@ -131,15 +129,13 @@ def surface_intersection(F_a, F_b, pair=(0, 0)):
     ends = {k for kp, kq in segs if kp != kq for k in (kp, kq)}
     if any(kp == kq and kp not in ends for kp, kq in segs):
         raise NotGeneric("isolated surface contact point")
-    return [
-        IntersectionCurve(points=tuple(c), kind="arc", ends=(), pair=pair) for c in chains
-    ] + [
-        IntersectionCurve(points=tuple(c), kind="circle", ends=(), pair=pair) for c in loops
+    return [IntersectionCurve(points=tuple(c), kind="arc") for c in chains] + [
+        IntersectionCurve(points=tuple(c), kind="circle") for c in loops
     ]
 
 
-def reversed_intersection(curves, pair):
-    """``surface_intersection(F_b, F_a, pair)`` from the curves of
+def reversed_intersection(curves):
+    """``surface_intersection(F_b, F_a)`` from the curves of
     ``surface_intersection(F_a, F_b)``.
 
     Swapping the surfaces negates n_a x n_b, so every curve runs backwards:
@@ -148,11 +144,8 @@ def reversed_intersection(curves, pair):
     """
     arcs = sorted((c.points[::-1] for c in curves if c.kind == "arc"),
                   key=lambda pts: pts[0])
-    return [
-        IntersectionCurve(points=pts, kind="arc", ends=(), pair=pair) for pts in arcs
-    ] + [
-        IntersectionCurve(points=c.points[:1] + c.points[:0:-1], kind="circle",
-                          ends=(), pair=pair)
+    return [IntersectionCurve(points=pts, kind="arc") for pts in arcs] + [
+        IntersectionCurve(points=c.points[:1] + c.points[:0:-1], kind="circle")
         for c in curves if c.kind == "circle"
     ]
 
@@ -168,22 +161,19 @@ def embedded_intersection(e, a, b):
     lo, hi = min(a, b), max(a, b)
     curves = e.intersections.get((lo, hi))
     if curves is None:
-        curves = surface_intersection(e.surfaces[lo], e.surfaces[hi], pair=(lo, hi))
+        curves = surface_intersection(e.surfaces[lo], e.surfaces[hi])
         e.intersections[(lo, hi)] = curves
-    return list(curves) if a < b else reversed_intersection(curves, (a, b))
+    return list(curves) if a < b else reversed_intersection(curves)
 
 
 # ---------------------------------------------------------------------------
 # pierce points
 
 
-def pierce_points(K_a, F_b, component=0):
+def pierce_points(K_a, F_b):
     """Transversal pierces of K_a through F_b with exact labels."""
-    events = curve_surface_crossings(K_a, F_b)
-    return [
-        PiercePoint(location=x, label=s, component=component, position=pos, triangle=ti)
-        for pos, x, s, ti in events
-    ]
+    return [PiercePoint(location=x, label=s, position=pos)
+            for pos, x, s, _ in curve_surface_crossings(K_a, F_b)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +195,7 @@ def _next_after(positions, pos, ok, stuck):
 def _balanced_pierces(K_a, F_b, pair):
     """The pierces of K_a through F_b as a tuple; NonzeroLinking unless
     their labels sum to zero."""
-    pierces = tuple(pierce_points(K_a, F_b, component=pair[0]))
+    pierces = tuple(pierce_points(K_a, F_b))
     total = sum(p.label for p in pierces)
     if total != 0:
         raise NonzeroLinking("pierce labels of pair %r sum to %d" % (pair, total))
@@ -215,160 +205,81 @@ def _balanced_pierces(K_a, F_b, pair):
 def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0)):
     """Derived boundary of the ordered pair, on explicit curves/surfaces."""
     return _trace(K_a, K_b, _balanced_pierces(K_a, F_b, pair), pair,
-                  lambda: surface_intersection(F_a, F_b, pair))
+                  surface_intersection(F_a, F_b))
 
 
-def _trace(K_a, K_b, pierces, pair, intersect):
+def _trace(K_a, K_b, pierces, pair, curves):
     """Derived boundary from the pierces of K_a through F_b and the
-    intersection curves that `intersect()` returns."""
-    a_id, b_id = pair
-    curves = intersect()
+    intersection curves of F_a and F_b."""
+    curve_of = {"a": K_a, "b": K_b}
+    component = {"a": pair[0], "b": pair[1]}
+    pierce_at = {p.location: ("a", p.position) for p in pierces}
+    label_at = {("a", p.position): p.label for p in pierces}
 
-    pierce_at = {p.location: p for p in pierces}
-    arcs = []
-    circles = []
-    for c in curves:
-        if c.kind == "circle":
-            circles.append(c)
-            continue
-        ends = []
-        for endpoint in (c.points[0], c.points[-1]):
-            if endpoint in pierce_at:
-                ends.append(("a", pierce_at[endpoint].position))
-            else:
-                pos = K_b.locate(endpoint)
-                if pos is None:
-                    raise NotGeneric("intersection arc endpoint off both curves")
-                ends.append(("b", pos))
-        arcs.append(
-            IntersectionCurve(points=c.points, kind="arc", ends=tuple(ends), pair=pair)
-        )
+    def end(x):
+        if x in pierce_at:
+            return pierce_at[x]
+        pos = K_b.locate(x)
+        if pos is None:
+            raise NotGeneric("intersection arc endpoint off both curves")
+        return "b", pos
 
-    # orientation convention: arcs leave +1 pierces and enter -1 pierces
-    out_arc = {}
-    in_arc = {}
-    departs_b = {}
-    arrives_b = {}
-    for k, c in enumerate(arcs):
-        side0, pos0 = c.ends[0]
-        side1, pos1 = c.ends[1]
-        if side0 == "a":
-            p = pierce_at[c.points[0]]
-            if p.label != 1 or p.position in out_arc:
-                raise StuckTrace("arc does not leave a fresh +1 pierce")
-            out_arc[p.position] = k
-        else:
-            if pos0 in departs_b:
-                raise NotGeneric("two arcs depart one attachment point")
-            departs_b[pos0] = k
-        if side1 == "a":
-            p = pierce_at[c.points[-1]]
-            if p.label != -1 or p.position in in_arc:
-                raise StuckTrace("arc does not enter a fresh -1 pierce")
-            in_arc[p.position] = k
-        else:
-            if pos1 in arrives_b:
-                raise NotGeneric("two arcs arrive at one attachment point")
-            arrives_b[pos1] = k
-
-    plus = sorted(p.position for p in pierces if p.label == 1)
-    minus = sorted(p.position for p in pierces if p.label == -1)
-    if len(out_arc) != len(plus) or len(in_arc) != len(minus):
+    # every end is located before any is checked, so that an end off both
+    # curves is reported as the degeneracy it is
+    arcs = [(c.points, end(c.points[0]), end(c.points[-1]))
+            for c in curves if c.kind == "arc"]
+    leaves = {}    # departure (side, position) -> (points, landing)
+    ends = set()
+    for points, dep, landing in arcs:
+        # orientation convention: arcs leave +1 pierces and land on -1 ones
+        for x, label in ((dep, 1), (landing, -1)):
+            if x in ends or label_at.get(x, label) != label:
+                if x[0] == "a":
+                    raise StuckTrace("arc end is not a fresh %+d pierce" % label)
+                raise NotGeneric("two arcs meet one point of the second component")
+            ends.add(x)
+        leaves[dep] = (points, landing)
+    if sum(side == "a" for side, _ in ends) != len(pierces):
         raise StuckTrace("pierce/arc incidence mismatch")
+    order = {side: sorted(pos for s, pos in leaves if s == side) for side in "ab"}
 
-    b_positions = sorted(departs_b)
-    a_positions = sorted(p.position for p in pierces)
-    used = set()
-    consumed_minus = set()
+    # the one walk of the module docstring: K_a loops first, then K_b-only
+    minus = sorted(p.position for p in pierces if p.label == -1)
+    used = set()   # arc ends the walk has passed through
     loops = []
-
-    def fresh_plus(q):
-        return q in out_arc and out_arc[q] not in used
-
-    def fresh_departure(q):
-        return departs_b[q] not in used
-
-    for start in minus:
-        if start in consumed_minus:
+    for start in [("a", q) for q in minus] + [("b", q) for q in order["b"]]:
+        if start in used:
             continue
+        side, pos = start
         loop = []
-        cur = start
         while True:
-            q = _next_after(a_positions, cur, fresh_plus,
-                            "no reachable +1 pierce from position %s" % cur)
-            loop.append(
-                BoundaryPiece(
-                    kind="along", component=a_id,
-                    points=tuple(K_a.subarc(cur, q)), span=(cur, q),
-                )
-            )
-            arc = arcs[out_arc[q]]
-            used.add(out_arc[q])
-            loop.append(BoundaryPiece(kind="interior", component=None,
-                                      points=arc.points, span=None))
-            side, pos = arc.ends[1]
-            while side == "b":
-                dep = _next_after(b_positions, pos, fresh_departure,
-                                  "no reachable departure on the second component")
-                loop.append(
-                    BoundaryPiece(
-                        kind="along", component=b_id,
-                        points=tuple(K_b.subarc(pos, dep)), span=(pos, dep),
-                    )
-                )
-                arc = arcs[departs_b[dep]]
-                used.add(departs_b[dep])
-                loop.append(
-                    BoundaryPiece(kind="interior", component=None,
-                                  points=arc.points, span=None)
-                )
-                side, pos = arc.ends[1]
-            # landed on a -1 pierce of K_a
-            consumed_minus.add(pos)
-            if pos == start:
+            if (side, pos) in leaves:
+                points, landing = leaves[(side, pos)]
+                used.update(((side, pos), landing))
+                loop.append(BoundaryPiece(kind="interior", component=None,
+                                          points=points, span=None))
+                if start[0] == "b" and landing[0] == "a":
+                    raise StuckTrace("second-component loop escaped to a pierce")
+                side, pos = landing
+            else:
+                dep = _next_after(order[side], pos,
+                                  lambda q: (side, q) == start or (side, q) not in used,
+                                  "no reachable departure from %s %s" % (side, pos))
+                loop.append(BoundaryPiece(
+                    kind="along", component=component[side],
+                    points=tuple(curve_of[side].subarc(pos, dep)), span=(pos, dep),
+                ))
+                pos = dep
+            if (side, pos) == start:
                 break
-            cur = pos
         loops.append(tuple(loop))
 
-    # arcs attached to the second component at both ends can close into
-    # loops that never meet a pierce of K_a; start each from any unused
-    # departure and follow the same travel rule
-    while True:
-        remaining = [q for q in b_positions if departs_b[q] not in used]
-        if not remaining:
-            break
-        start_q = remaining[0]
-        loop = []
-        k = departs_b[start_q]
-        while True:
-            used.add(k)
-            arc = arcs[k]
-            loop.append(BoundaryPiece(kind="interior", component=None,
-                                      points=arc.points, span=None))
-            side, pos = arc.ends[1]
-            if side != "b":
-                raise StuckTrace("second-component loop escaped to a pierce")
-            q = _next_after(b_positions, pos,
-                            lambda q: q == start_q or fresh_departure(q),
-                            "no departure to continue a second-component loop")
-            loop.append(
-                BoundaryPiece(
-                    kind="along", component=b_id,
-                    points=tuple(K_b.subarc(pos, q)), span=(pos, q),
-                )
-            )
-            if q == start_q:
-                break
-            k = departs_b[q]
-        loops.append(tuple(loop))
-
-    if len(used) != len(arcs):
-        raise StuckTrace("%d intersection arcs left untraced" % (len(arcs) - len(used)))
-    for c in circles:
-        loops.append(
-            (BoundaryPiece(kind="circle", component=None, points=c.points,
-                           span=None),)
-        )
+    if len(used) != len(ends):
+        raise StuckTrace("%d intersection arcs left untraced"
+                         % ((len(ends) - len(used)) // 2))
+    loops += [(BoundaryPiece(kind="circle", component=None, points=c.points,
+                             span=None),)
+              for c in curves if c.kind == "circle"]
     db = DerivedBoundary(pair=pair, loops=tuple(loops), pierce_points=pierces)
     _check_closed(db)
     return db
@@ -400,4 +311,4 @@ def trace_derived_boundary(e, a, b):
         pierces = _balanced_pierces(e.curves[a], e.surfaces[b], (a, b))
         e.pierces[(a, b)] = pierces
     return _trace(e.curves[a], e.curves[b], pierces, (a, b),
-                  lambda: embedded_intersection(e, a, b))
+                  embedded_intersection(e, a, b))

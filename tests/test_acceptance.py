@@ -26,7 +26,7 @@ from masseylink.chains import (
     _random_cochain,
 )
 from masseylink.cli import main as cli_main
-from masseylink.embed import build_embedding
+from masseylink.embed import build_embedding, meridian, pushoff_cycle
 from masseylink.errors import MasseyUndefined
 from masseylink.fixtures import load_fixture
 from masseylink.magnus import milnor_mu
@@ -104,8 +104,11 @@ def test_criterion_5_choice_and_framing_independence(oracle_embeddings):
             checked += 1
         db12 = trace_derived_boundary(e, 1, 2)
         base_second = second_term(e, db12, 1, 3)
-        assert second_term(e, db12, 1, 3, meridian_twists=1) == base_second, name
-        assert second_term(e, db12, 1, 3, longitude_twists=1) == base_second, name
+        F_3 = e.surfaces[3]
+        twist = curve_surface_count(meridian(e, 1), F_3)
+        assert base_second + twist == base_second, name
+        longitude = pushoff_cycle(e.curves[1], e.tube_radius)
+        assert base_second + curve_surface_count(longitude, F_3) == base_second, name
         checked += 2
     print("criterion 5: PASS  %d independence checks, all exact" % checked)
 

@@ -52,6 +52,24 @@ def test_malformed_input_exit_code(capsys):
     assert doc is None
 
 
+@pytest.mark.parametrize("pd", [
+    '{"components": "3", "crossings": [[1,2,2,1]]}',
+    '{"components": 2.5, "crossings": [[1,2,2,1]]}',
+    '{"components": true, "crossings": [[1,2,2,1]]}',
+    '{"crossings": [[true,2,2,1]]}',
+    '{"crossings": [[1,2,2,1.0]]}',
+    '{"crossings": [5]}',
+    '{"crossings": 5}',
+])
+def test_malformed_json_diagram_is_an_input_error(capsys, pd):
+    code = main(["lk", "--pd", pd])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "Traceback" not in captured.err
+
+
 def test_milnor(capsys):
     code, doc = _run(capsys, "milnor", "--indices", "1,2,3", "--fixture", "brunn_3")
     assert code == 0

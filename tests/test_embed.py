@@ -401,7 +401,7 @@ def test_pairwise_surfaces_generic(e_borromean):
 
     for (a, b) in ((1, 2), (2, 3), (1, 3)):
         curves = surface_intersection(
-            e_borromean.surfaces[a], e_borromean.surfaces[b], pair=(a, b)
+            e_borromean.surfaces[a], e_borromean.surfaces[b]
         )
         for c in curves:
             assert c.kind in ("arc", "circle")

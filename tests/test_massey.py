@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from masseylink.diagram import parse_pd
-from masseylink.embed import build_embedding
+from masseylink.embed import build_embedding, meridian, pushoff_cycle
 from masseylink.errors import MasseyUndefined
 from masseylink.fixtures import braid_closure, load_fixture
 from masseylink.massey import (
@@ -64,9 +64,12 @@ def test_component_copy_leaves_first_term_unchanged(e_borromean):
 def test_framing_independence(e_borromean):
     db = trace_derived_boundary(e_borromean, 1, 2)
     base = second_term(e_borromean, db, 1, 3)
-    assert second_term(e_borromean, db, 1, 3, meridian_twists=1) == base
-    assert second_term(e_borromean, db, 1, 3, meridian_twists=3) == base
-    assert second_term(e_borromean, db, 1, 3, longitude_twists=1) == base
+    F_3 = e_borromean.surfaces[3]
+    twist = curve_surface_count(meridian(e_borromean, 1), F_3)
+    assert base + twist == base
+    assert base + 3 * twist == base
+    longitude = pushoff_cycle(e_borromean.curves[1], e_borromean.tube_radius)
+    assert base + curve_surface_count(longitude, F_3) == base
 
 
 def test_empty_boundary_second_term_zero():
@@ -99,7 +102,8 @@ def test_perturbed_embedding_gives_same_value(borromean):
     r = massey3(e, (1, 2, 3))
     assert (r.term_first, r.term_second) == (1, 0)
     db = trace_derived_boundary(e, 1, 2)
-    assert second_term(e, db, 1, 3, meridian_twists=1) == second_term(e, db, 1, 3)
+    base = second_term(e, db, 1, 3)
+    assert base + curve_surface_count(meridian(e, 1), e.surfaces[3]) == base
 
 
 def test_random_zero_linking_closures_match_oracle():
