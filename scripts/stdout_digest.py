@@ -11,8 +11,10 @@ Every `massey3` and `trace` run also writes --dump-geometry and
 1,2,3,4`, `fixtures` and `chains-verify` on each complex at the default
 cases (about 6 s).  The hash covers each command line, exit code, stdout
 and dump file, in that order, with temporary paths reduced to their base
-names; stderr is not hashed.  The package is imported from <repo>/src, so
-two checkouts print equal digests exactly when their outputs agree.
+names; stderr is not hashed.  A command that argparse rejects is hashed
+with the code of its SystemExit, and the run goes on.  The package is
+imported from <repo>/src, so two checkouts print equal digests exactly
+when their outputs agree.
 
 Usage: stdout_digest.py [repo]   (default: the repository of this script)
 """
@@ -91,7 +93,10 @@ def main():
             out = io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv)
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
             record = [argv, code, out.getvalue()]
             for name in DUMPS:
                 path = os.path.join(tmp, name)

@@ -54,11 +54,11 @@ def _add_dump_args(sub):
 
 
 def _load_diagram(args):
-    if args.fixture:
+    if args.fixture is not None:
         return load_fixture(args.fixture)
-    if args.pd:
+    if args.pd is not None:
         return parse_pd(args.pd)
-    if args.gauss:
+    if args.gauss is not None:
         return parse_gauss(args.gauss)
     with open(args.input) as fh:
         return parse_pd(fh.read())

@@ -609,13 +609,12 @@ def _offset_walk(out, segments, r):
     return out
 
 
-def pushoff_points(curve, pos0, pos1, r):
-    """Open pushoff of the subarc pos0->pos1: radial joins at the ends,
+def pushoff_run(points, r):
+    """Open pushoff of a run of curve points: radial joins at the ends,
     each segment offset by its horizontal left normal."""
-    sub = curve.subarc(pos0, pos1)
-    out = _offset_walk([sub[0]], zip(sub, sub[1:]), r)
-    if out[-1] != sub[-1]:
-        out.append(sub[-1])
+    out = _offset_walk([points[0]], zip(points, points[1:]), r)
+    if out[-1] != points[-1]:
+        out.append(points[-1])
     return out
 
 

@@ -5,16 +5,20 @@ The third-order value for an ordering (i, j, k) is the sum of two signed
 counts: the linking of K_i with the traced boundary of the (j, k) surface
 pair, and the count against F_k of the derived (i, j) boundary's restriction
 to the tube around K_i.  The latter is realized without ever building a
-spanning surface: every along-K_i piece of the boundary is pushed off in
-the blackboard framing and joined radially back to its endpoints, which is
-exactly what any spanning surface cuts out of the tube, up to whole
-meridian or longitude twists that the vanishing-linking hypothesis makes
-invisible.
+spanning surface: every along-K_i piece of the boundary is a run of points
+of K_i, as the tracer cut it, and that run is pushed off in the blackboard
+framing and joined radially back to its endpoints, which is exactly what
+any spanning surface cuts out of the tube, up to whole meridian or
+longitude twists that the vanishing-linking hypothesis makes invisible.
+The fourth-order summands that meet the tube count the same pushoffs: of
+all of K_i, of the (i, j) boundary's along-K_i runs, or of the runs of K_i
+on a provided surface's boundary.
 """
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
-from .embed import measured, pushoff_cycle, pushoff_points
+from .embed import measured, pushoff_cycle, pushoff_run
 from .errors import MasseyUndefined
 from .plgeom import PLCurve, curve_surface_count
 from .trace import trace_derived_boundary
@@ -52,24 +56,21 @@ def first_term(e, db, i):
     return sum(curve_surface_count(lc, e.surfaces[i]) for lc in db.loop_curves())
 
 
-def _along_spans(db, i):
-    """(pos0, pos1) spans on K_i of the along-K_i pieces of a boundary."""
-    return [piece.span for loop in db.loops for piece in loop
+def _along_runs(db, i):
+    """The points of each along-K_i piece of a boundary."""
+    return [piece.points for loop in db.loops for piece in loop
             if piece.kind == "along" and piece.component == i]
 
 
-def _pushoff_family_count(e, spans, i, surface):
+def _pushoff_family_count(e, runs, i, surface):
     """Signed count against `surface` of the blackboard pushoffs of the
-    (pos0, pos1) spans on K_i; a span with pos0 == pos1 is all of K_i."""
-    curve = e.curves[i]
+    point runs on K_i; a run of None is all of K_i."""
     total = 0
-    for pos0, pos1 in spans:
-        if pos0 == pos1:
-            family = pushoff_cycle(curve, e.tube_radius)
+    for run in runs:
+        if run is None:
+            family = pushoff_cycle(e.curves[i], e.tube_radius)
         else:
-            family = PLCurve(
-                pushoff_points(curve, pos0, pos1, e.tube_radius), closed=False
-            )
+            family = PLCurve(pushoff_run(run, e.tube_radius), closed=False)
         total += curve_surface_count(family, surface)
     return total
 
@@ -81,7 +82,7 @@ def second_term(e, db, i, k):
     pushoff family; by the vanishing-linking hypothesis each copy counts
     zero against F_k, which the property suite verifies.
     """
-    return _pushoff_family_count(e, _along_spans(db, i), i, e.surfaces[k])
+    return _pushoff_family_count(e, _along_runs(db, i), i, e.surfaces[k])
 
 
 def massey3(source, ordering, grid_scale=1, perturb_index=0):
@@ -119,7 +120,7 @@ def _massey3_on(e, ordering):
 @dataclass(frozen=True)
 class FourthOrderPlan:
     ordering: tuple
-    boundaries: dict       # pair/triple key -> DerivedBoundary or None
+    boundaries: dict       # pair key -> DerivedBoundary
     schema: tuple          # three summand descriptors
     status: str            # "computed" | "unsupported"
     reason: str
@@ -134,35 +135,30 @@ _SCHEMA = (
 )
 
 
-def _boundary_empty(db):
-    return db is not None and not db.loops
+def _surface_k_runs(e, surf, i):
+    """Runs of K_i cut out by the boundary of a provided spanning surface.
 
-
-def _surface_k_spans(e, surf, i):
-    """Spans on K_i cut out by the boundary of a provided spanning surface."""
+    Each stretch of two or more consecutive boundary vertices on K_i gives
+    the K_i.subarc from its first to its last.  A boundary loop that runs
+    along all of K_i, or a stretch whose ends locate at one position, gives
+    None: all of K_i.
+    """
     curve = e.curves[i]
-    spans = []
+    runs = []
     for loop in surf.boundary_curves():
-        vs = list(loop.vertices)
-        located = [curve.locate(v) for v in vs]
-        n = len(vs)
-        k0 = next((t for t in range(n) if located[t] is None), None)
-        if k0 is None:
-            # the whole boundary loop runs along K_i
-            spans.append((located[0], located[0]))
+        located = [curve.locate(v) for v in loop.vertices]
+        if None not in located:
+            runs.append(None)
             continue
-        order = list(range(k0, n)) + list(range(k0))
-        run = []
-        for t in order:
-            if located[t] is not None:
-                run.append(located[t])
-            elif run:
-                if len(run) >= 2:
-                    spans.append((run[0], run[-1]))
-                run = []
-        if len(run) >= 2:
-            spans.append((run[0], run[-1]))
-    return spans
+        k0 = located.index(None)
+        for on_k, stretch in groupby(located[k0:] + located[:k0],
+                                     key=lambda pos: pos is not None):
+            stretch = list(stretch)
+            if on_k and len(stretch) >= 2:
+                pos0, pos1 = stretch[0], stretch[-1]
+                runs.append(None if pos0 == pos1
+                            else tuple(curve.subarc(pos0, pos1)))
+    return runs
 
 
 def massey4(source, ordering, provider=None, grid_scale=1, perturb_index=0):
@@ -194,48 +190,32 @@ def _massey4_on(e, ordering, provider):
         (k, l): trace_derived_boundary(e, k, l),
     }
     provider = provider or (lambda key: None)
+    empty = {pair: not db.loops for pair, db in boundaries.items()}
+    # per summand of _SCHEMA: zero without asking, the provider key, and
+    # the count on the provided surface C
+    rows = (
+        (empty[(j, k)] and empty[(k, l)], (j, k, l),
+         lambda C: _pushoff_family_count(e, [None], i, C)),
+        (empty[(i, j)] or empty[(k, l)], (k, l),
+         lambda C: _pushoff_family_count(
+             e, _along_runs(boundaries[(i, j)], i), i, C)),
+        (empty[(i, j)] and empty[(j, k)], (i, j, k),
+         lambda C: _pushoff_family_count(
+             e, _surface_k_runs(e, C, i), i, e.surfaces[l])),
+    )
     summands = []
-    # summand 1: tube(i) . F_i . C_jkl
-    if _boundary_empty(boundaries[(j, k)]) and _boundary_empty(boundaries[(k, l)]):
-        summands.append(0)
-    else:
-        C_jkl = provider((j, k, l))
-        if C_jkl is None:
+    for zero, key, count in rows:
+        if zero:
+            summands.append(0)
+            continue
+        C = provider(key)
+        if C is None:
             return FourthOrderPlan(
                 ordering, boundaries, _SCHEMA, "unsupported",
-                "C_%d%d%d spanning surface required" % (j, k, l), (), None,
+                "C_%s spanning surface required" % "".join("%d" % c for c in key),
+                (), None,
             )
-        summands.append(
-            curve_surface_count(pushoff_cycle(e.curves[i], e.tube_radius), C_jkl)
-        )
-    # summand 2: tube(i) . C_ij . C_kl
-    if _boundary_empty(boundaries[(i, j)]) or _boundary_empty(boundaries[(k, l)]):
-        summands.append(0)
-    else:
-        C_kl = provider((k, l))
-        if C_kl is None:
-            return FourthOrderPlan(
-                ordering, boundaries, _SCHEMA, "unsupported",
-                "C_%d%d spanning surface required" % (k, l), (), None,
-            )
-        spans = _along_spans(boundaries[(i, j)], i)
-        summands.append(
-            _pushoff_family_count(e, spans, i, C_kl)
-        )
-    # summand 3: tube(i) . C_ijk . F_l
-    if _boundary_empty(boundaries[(i, j)]) and _boundary_empty(boundaries[(j, k)]):
-        summands.append(0)
-    else:
-        C_ijk = provider((i, j, k))
-        if C_ijk is None:
-            return FourthOrderPlan(
-                ordering, boundaries, _SCHEMA, "unsupported",
-                "C_%d%d%d spanning surface required" % (i, j, k), (), None,
-            )
-        spans = _surface_k_spans(e, C_ijk, i)
-        summands.append(
-            _pushoff_family_count(e, spans, i, e.surfaces[l])
-        )
+        summands.append(count(C))
 
     return FourthOrderPlan(
         ordering, boundaries, _SCHEMA, "computed", "",

@@ -26,7 +26,6 @@ from .plgeom import (
     curve_surface_crossings,
     point_key,
     stitch,
-    tri_normal,
     triangle_triangle,
     v_cross,
     v_dot,
@@ -53,7 +52,6 @@ class BoundaryPiece:
     kind: str             # "interior" | "along" | "circle"
     component: object     # component id for "along", else None
     points: tuple         # oriented polyline of the piece
-    span: object          # (pos0, pos1) on the component for "along", else None
 
 
 @dataclass(frozen=True)
@@ -115,9 +113,7 @@ def surface_intersection(F_a, F_b):
         dirs = set()
         for ia, ib in wits:
             # integer normals: positive multiples of the rational ones
-            na = tri_normal(F_a.lifted[ia].verts)
-            nb = tri_normal(F_b.lifted[ib].verts)
-            s = sign(v_dot(v_cross(na, nb), d))
+            s = sign(v_dot(v_cross(F_a.planes[ia][0], F_b.planes[ib][0]), d))
             if s == 0:
                 raise NotGeneric("tangential surface contact")
             dirs.add(s)
@@ -257,7 +253,7 @@ def _trace(K_a, K_b, pierces, pair, curves):
                 points, landing = leaves[(side, pos)]
                 used.update(((side, pos), landing))
                 loop.append(BoundaryPiece(kind="interior", component=None,
-                                          points=points, span=None))
+                                          points=points))
                 if start[0] == "b" and landing[0] == "a":
                     raise StuckTrace("second-component loop escaped to a pierce")
                 side, pos = landing
@@ -267,8 +263,7 @@ def _trace(K_a, K_b, pierces, pair, curves):
                                   "no reachable departure from %s %s" % (side, pos))
                 loop.append(BoundaryPiece(
                     kind="along", component=component[side],
-                    points=tuple(curve_of[side].subarc(pos, dep)), span=(pos, dep),
-                ))
+                    points=tuple(curve_of[side].subarc(pos, dep))))
                 pos = dep
             if (side, pos) == start:
                 break
@@ -277,8 +272,7 @@ def _trace(K_a, K_b, pierces, pair, curves):
     if len(used) != len(ends):
         raise StuckTrace("%d intersection arcs left untraced"
                          % ((len(ends) - len(used)) // 2))
-    loops += [(BoundaryPiece(kind="circle", component=None, points=c.points,
-                             span=None),)
+    loops += [(BoundaryPiece(kind="circle", component=None, points=c.points),)
               for c in curves if c.kind == "circle"]
     db = DerivedBoundary(pair=pair, loops=tuple(loops), pierce_points=pierces)
     _check_closed(db)

@@ -70,6 +70,15 @@ def test_malformed_json_diagram_is_an_input_error(capsys, pd):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("option", ["--pd", "--gauss", "--fixture"])
+def test_empty_inline_source_is_an_input_error(capsys, option):
+    code = main(["lk", option, ""])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 def test_milnor(capsys):
     code, doc = _run(capsys, "milnor", "--indices", "1,2,3", "--fixture", "brunn_3")
     assert code == 0

@@ -213,27 +213,6 @@ def test_cached_trace_equals_uncached_trace():
     assert traced > 0
 
 
-def test_along_pieces_carry_their_located_span():
-    # the span the tracer cut each along piece from is the one found by
-    # locating the piece's end points on its component
-    along = 0
-    for name, e in _cases():
-        for a, b in _ordered_pairs(e):
-            if e.diagram.linking_number(a, b):
-                continue
-            for loop in trace_derived_boundary(e, a, b).loops:
-                for piece in loop:
-                    if piece.kind != "along":
-                        assert piece.span is None, (name, a, b)
-                        continue
-                    curve = e.curves[piece.component]
-                    located = (curve.locate(piece.points[0]),
-                               curve.locate(piece.points[-1]))
-                    assert piece.span == located, (name, a, b)
-                    along += 1
-    assert along > 0
-
-
 def _pairs_of(calls, e):
     """Calls recorded as (id, id) of curves or surfaces, as index pairs."""
     ids = {id(x): k for k, x in list(e.curves.items()) + list(e.surfaces.items())}
@@ -610,13 +589,13 @@ def _two_phase_trace(K_a, K_b, pierces, pair, intersect):
             loop.append(
                 BoundaryPiece(
                     kind="along", component=a_id,
-                    points=tuple(K_a.subarc(cur, q)), span=(cur, q),
+                    points=tuple(K_a.subarc(cur, q)),
                 )
             )
             arc = arcs[out_arc[q]]
             used.add(out_arc[q])
             loop.append(BoundaryPiece(kind="interior", component=None,
-                                      points=arc.points, span=None))
+                                      points=arc.points))
             side, pos = arc_ends[out_arc[q]][1]
             while side == "b":
                 dep = _next_after(b_positions, pos, fresh_departure,
@@ -624,14 +603,14 @@ def _two_phase_trace(K_a, K_b, pierces, pair, intersect):
                 loop.append(
                     BoundaryPiece(
                         kind="along", component=b_id,
-                        points=tuple(K_b.subarc(pos, dep)), span=(pos, dep),
+                        points=tuple(K_b.subarc(pos, dep)),
                     )
                 )
                 arc = arcs[departs_b[dep]]
                 used.add(departs_b[dep])
                 loop.append(
                     BoundaryPiece(kind="interior", component=None,
-                                  points=arc.points, span=None)
+                                  points=arc.points)
                 )
                 side, pos = arc_ends[departs_b[dep]][1]
             # landed on a -1 pierce of K_a
@@ -655,7 +634,7 @@ def _two_phase_trace(K_a, K_b, pierces, pair, intersect):
             used.add(k)
             arc = arcs[k]
             loop.append(BoundaryPiece(kind="interior", component=None,
-                                      points=arc.points, span=None))
+                                      points=arc.points))
             side, pos = arc_ends[k][1]
             if side != "b":
                 raise StuckTrace("second-component loop escaped to a pierce")
@@ -665,7 +644,7 @@ def _two_phase_trace(K_a, K_b, pierces, pair, intersect):
             loop.append(
                 BoundaryPiece(
                     kind="along", component=b_id,
-                    points=tuple(K_b.subarc(pos, q)), span=(pos, q),
+                    points=tuple(K_b.subarc(pos, q)),
                 )
             )
             if q == start_q:
@@ -677,8 +656,7 @@ def _two_phase_trace(K_a, K_b, pierces, pair, intersect):
         raise StuckTrace("%d intersection arcs left untraced" % (len(arcs) - len(used)))
     for c in circles:
         loops.append(
-            (BoundaryPiece(kind="circle", component=None, points=c.points,
-                           span=None),)
+            (BoundaryPiece(kind="circle", component=None, points=c.points),)
         )
     db = DerivedBoundary(pair=pair, loops=tuple(loops), pierce_points=pierces)
     _check_closed(db)
