@@ -6,6 +6,11 @@ returned as explicit result kinds, never absorbed.  Callers that need a
 degeneracy resolved are expected to perturb their input and retry.
 The triangle kernel decides every sign on integers (see "integer forms").
 
+A pair of surface triangles meets three filters in order: their float
+boxes must overlap (``BoxIndex``), their xy shadows must not be proved
+apart (``shadows_apart``, exact), and only then does the exact kernel
+``triangle_triangle`` run.  Neither filter drops a pair that meets.
+
 Intersection results are tagged tuples:
   ("empty",)
   ("point", p)            p in Q^3
@@ -56,23 +61,9 @@ def v_lerp(a, b, t):
     return v_add(a, v_scale(v_sub(b, a), t))
 
 
-def qpoint(x, y, z):
-    return (Q(x), Q(y), Q(z))
-
-
-def orient3(p, q, r, s):
-    """Sign of det(q-p, r-p, s-p): +1 for a right-handed frame, 0 coplanar."""
-    return sign(v_dot(v_cross(v_sub(q, p), v_sub(r, p)), v_sub(s, p)))
-
-
 def tri_normal(tri):
     a, b, c = tri
     return v_cross(v_sub(b, a), v_sub(c, a))
-
-
-def plane_side(tri, p):
-    """Sign of p against the oriented plane of tri (+1 on the normal side)."""
-    return sign(v_dot(tri_normal(tri), v_sub(p, tri[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +123,6 @@ def _rational(hit, D):
 
 def _same(h, g):
     return v_scale(h[0], g[1]) == v_scale(g[0], h[1])
-
-
-def _hits_result(hits, D):
-    if not hits:
-        return EMPTY
-    if len(hits) == 1:
-        return ("point", _rational(hits[0], D))
-    return ("segment", (_rational(hits[0], D), _rational(hits[1], D)))
 
 
 def _plane(T):
@@ -220,34 +203,8 @@ def _seg_point_param(a, b, p):
     return t
 
 
-def point_on_segment(a, b, p):
-    return _seg_point_param(a, b, p) is not None
-
-
-def point_in_triangle(tri, p):
-    """Classify p against tri assuming p lies in tri's plane.
-
-    Returns one of "interior", "edge", "vertex", "outside".
-    """
-    _, (a, b, c, q) = lift(tuple(tri) + (p,))
-    T = (a, b, c)
-    return _where(_edge_planes(T, tri_normal(T)), q, 1)
-
-
 # ---------------------------------------------------------------------------
 # segment / triangle
-
-
-def segment_triangle(seg, tri):
-    """Exact intersection of a closed segment with a closed triangle."""
-    D, (p0, p1, a, b, c) = lift(tuple(seg) + tuple(tri))
-    T = (a, b, c)
-    n, k = _plane(T)
-    hits = _segment_hits(
-        p0, p1, seg[0], seg[1], v_dot(n, p0) - k, v_dot(n, p1) - k,
-        T, n, _edge_planes(T, n),
-    )
-    return _hits_result(hits, D)
 
 
 def _segment_hits(p0, p1, r0, r1, d0, d1, T, n, edges):
@@ -320,6 +277,48 @@ def _segment_point(p0, p1, r0, r1, t):
 
 # ---------------------------------------------------------------------------
 # triangle / triangle
+
+
+def shadows_apart(t1, t2):
+    """True when the xy shadows of two IntTriangles are proved disjoint.
+
+    That is, some edge line of one shadow has all three vertices of the
+    other triangle strictly on its far side: the side away from its own
+    third vertex, or either side when its shadow is a segment (a vertical
+    wall).  An edge whose shadow is a single point is skipped.  Proof of
+    soundness: a common point of the triangles would project to a common
+    point of the shadows.  Signs are exact: with A over D_A and B over
+    D_B, the side of q in B against the edge u -> v of A is the sign of
+    (v - u) x (D_A q - D_B u) in xy, a positive multiple of the
+    rational one.  This is the separating-axis exit of fast
+    triangle-triangle tests (Moller, JGT 1997), taken on the shadow.
+    """
+    D1, A, _ = t1
+    D2, B, _ = t2
+    return _beyond_an_edge(A, D1, B, D2) or _beyond_an_edge(B, D2, A, D1)
+
+
+def _beyond_an_edge(A, DA, B, DB):
+    """Some edge line of A's xy shadow has all of B strictly beyond it."""
+    (x0, y0, _), (x1, y1, _), (x2, y2, _) = B
+    x0, y0, x1, y1, x2, y2 = DA * x0, DA * y0, DA * x1, DA * y1, DA * x2, DA * y2
+    for u, v, w in ((A[0], A[1], A[2]), (A[1], A[2], A[0]), (A[2], A[0], A[1])):
+        ex, ey = v[0] - u[0], v[1] - u[1]
+        ux, uy = DB * u[0], DB * u[1]
+        # B's first vertex picks the side, so that it reads positive; an
+        # edge with a point shadow reads 0 for every vertex and is skipped
+        s = ex * (y0 - uy) - ey * (x0 - ux)
+        if s == 0:
+            continue
+        if s < 0:
+            ex, ey = -ex, -ey
+        # A's third vertex on the other side or on the line (a wall), the
+        # rest of B strictly on this side
+        if (ex * (w[1] - u[1]) - ey * (w[0] - u[0]) <= 0
+                and ex * (y1 - uy) - ey * (x1 - ux) > 0
+                and ex * (y2 - uy) - ey * (x2 - ux) > 0):
+            return True
+    return False
 
 
 def triangle_triangle(t1, t2):
@@ -600,6 +599,8 @@ class PLSurface:
             for j in idx.query(idx.arr[i]):
                 if j <= i or (cup is not None and cups[j] == cup):
                     continue
+                if shadows_apart(lifted[i], lifted[j]):
+                    continue
                 r = triangle_triangle(lifted[i], lifted[j])
                 if r[0] == "empty":
                     continue
@@ -690,6 +691,10 @@ class BoxIndex:
     candidates, and callers confirm every candidate with exact arithmetic.
     A row of ``arr`` is itself a valid query box.  A query returns the
     indices of the candidate rows in ascending order.
+
+    The box is the first of three filters on a triangle pair: a candidate
+    goes on to ``shadows_apart``, the exact xy-shadow reject, and only a
+    pair that survives both reaches the exact kernel ``triangle_triangle``.
     """
 
     def __init__(self, items):
@@ -701,6 +706,28 @@ class BoxIndex:
             i for i, (a0, b0, c0, a1, b1, c1) in enumerate(self.arr)
             if a0 <= x1 and a1 >= x0 and b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0
         ]
+
+    def pairs(self, other):
+        """Every (i, j) with row i of this index overlapping row j of
+        ``other``, sorted: the list of ``other.query(row)`` per row, in one
+        sweep.  Rows are visited by low x; each side keeps the rows seen so
+        far whose high x reaches the current low x, so every overlap in x
+        is met once, by the later of its two rows, and y and z decide it.
+        """
+        events = sorted([(r[0], 0, i, r) for i, r in enumerate(self.arr)]
+                        + [(r[0], 1, j, r) for j, r in enumerate(other.arr)])
+        active = [[], []]
+        out = []
+        for x0, side, i, row in events:
+            _, y0, z0, _, y1, z1 = row
+            live = active[1 - side] = [
+                a for a in active[1 - side] if a[1][3] >= x0]
+            for j, (_, b0, c0, _, b1, c1) in live:
+                if b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0:
+                    out.append((j, i) if side else (i, j))
+            active[side].append((i, row))
+        out.sort()
+        return out
 
 
 # ---------------------------------------------------------------------------

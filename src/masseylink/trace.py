@@ -25,6 +25,7 @@ from .plgeom import (
     PLCurve,
     curve_surface_crossings,
     point_key,
+    shadows_apart,
     stitch,
     triangle_triangle,
     v_cross,
@@ -87,23 +88,25 @@ def surface_intersection(F_a, F_b):
     rationals only to order the output.
     """
     segs = {}   # unordered key pair -> [p, q, witness triangle pairs]
-    for ia, box in enumerate(F_a.index.arr):
-        for ib in F_b.index.query(box):
-            r = triangle_triangle(F_a.lifted[ia], F_b.lifted[ib])
-            if r[0] == "empty":
-                continue
-            if r[0] == "polygon":
-                raise NotGeneric("overlapping coplanar triangles")
-            if r[0] == "point":
-                # tolerated only when a curve endpoint lands on a triangle
-                # corner of the *other* pair member; real isolated contact
-                # shows up as an unmatched key below
-                p = q = r[1]
-            else:
-                p, q = r[1]
-            kp, kq = point_key(p), point_key(q)
-            key = (kp, kq) if kp <= kq else (kq, kp)
-            segs.setdefault(key, [p, q, []])[2].append((ia, ib))
+    for ia, ib in F_a.index.pairs(F_b.index):
+        ta, tb = F_a.lifted[ia], F_b.lifted[ib]
+        if shadows_apart(ta, tb):
+            continue
+        r = triangle_triangle(ta, tb)
+        if r[0] == "empty":
+            continue
+        if r[0] == "polygon":
+            raise NotGeneric("overlapping coplanar triangles")
+        if r[0] == "point":
+            # tolerated only when a curve endpoint lands on a triangle
+            # corner of the *other* pair member; real isolated contact
+            # shows up as an unmatched key below
+            p = q = r[1]
+        else:
+            p, q = r[1]
+        kp, kq = point_key(p), point_key(q)
+        key = (kp, kq) if kp <= kq else (kq, kp)
+        segs.setdefault(key, [p, q, []])[2].append((ia, ib))
 
     oriented = []
     for (kp, kq), (p, q, wits) in segs.items():

@@ -31,17 +31,10 @@ from masseylink.errors import MasseyUndefined
 from masseylink.fixtures import load_fixture
 from masseylink.magnus import milnor_mu
 from masseylink.massey import first_term, massey3, second_term
-from masseylink.plgeom import (
-    orient3,
-    plane_side,
-    point_in_triangle,
-    point_on_segment,
-    triangle_triangle,
-    v_add,
-    v_scale,
-)
+from masseylink.plgeom import triangle_triangle, v_add, v_scale
 from masseylink.rational import Q
 from masseylink.trace import trace_derived_boundary
+from plref import orient3, plane_side, point_in_triangle, point_on_segment
 
 ORACLE_FIXTURES = ["borromean", "borromean_mirror", "brunn_1", "brunn_2", "brunn_3"]
 

@@ -42,9 +42,9 @@ from masseylink.plgeom import (
     curve_surface_count,
     lift,
     orient2,
-    qpoint as P,
 )
 from masseylink.rational import Q
+from plref import qpoint as P
 
 
 def _euler(surface):

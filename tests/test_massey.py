@@ -36,12 +36,12 @@ from masseylink.plgeom import (
     PLCurve,
     PLSurface,
     curve_surface_count,
-    qpoint as P,
     v_add,
     v_sub,
 )
 from masseylink.rational import Q
 from masseylink.trace import trace_derived_boundary
+from plref import qpoint as P
 
 
 def test_borromean_value(e_borromean):

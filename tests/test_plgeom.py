@@ -26,10 +26,7 @@ from masseylink.plgeom import (
     curve_surface_crossings,
     int_triangle,
     lift,
-    orient3,
-    point_in_triangle,
-    qpoint,
-    segment_triangle,
+    shadows_apart,
     stitch,
     triangle_triangle,
     v_add,
@@ -40,9 +37,7 @@ from masseylink.plgeom import (
 )
 from masseylink.rational import Q
 from masseylink.trace import trace_derived_boundary
-
-
-P = qpoint
+from plref import orient3, point_in_triangle, qpoint as P, segment_triangle
 
 
 def test_orient3_right_handed_basis():
@@ -381,6 +376,72 @@ def test_box_index_query_matches_exact_overlap():
                 assert found == sorted(set(found)) and exact <= set(found)
 
 
+def _query_pairs(idx, other):
+    """The per-row query list that BoxIndex.pairs must equal."""
+    return [(i, j) for i, row in enumerate(idx.arr) for j in other.query(row)]
+
+
+def test_box_pairs_match_queries_on_synthetic_rows():
+    # coordinates on a 5-point grid: low x ties, boxes that touch in one
+    # coordinate (overlapping or apart in the others) and zero-width rows
+    # are all common
+    rng = random.Random("box-pairs")
+
+    def box():
+        lo = [rng.randint(0, 4) for _ in range(3)]
+        return P(*lo), P(*(c + rng.choice((0, 0, 1, 2)) for c in lo))
+
+    touching = [
+        (P(0, 0, 0), P(1, 1, 1)),
+        (P(1, 0, 0), P(2, 1, 1)),       # touches the first in x only
+        (P(0, 1, 0), P(1, 2, 1)),       # touches the first in y only
+        (P(1, 2, 0), P(3, 3, 1)),       # touches in x, apart in y
+        (P(0, 0, 2), P(0, 0, 2)),       # a point
+        (P(1, 1, 0), P(1, 1, 5)),       # zero width in x and y
+    ]
+    for _ in range(40):
+        a = BoxIndex([box() for _ in range(rng.randint(0, 30))] + touching[:rng.randint(0, 6)])
+        b = BoxIndex([box() for _ in range(rng.randint(0, 30))] + touching[rng.randint(0, 6):])
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert x.pairs(y) == _query_pairs(x, y)
+    t = BoxIndex(touching)
+    assert t.pairs(BoxIndex([])) == [] and BoxIndex([]).pairs(t) == []
+    own = t.pairs(t)
+    assert (0, 1) in own and (0, 2) in own and (0, 3) not in own
+
+
+def test_shadows_apart_on_a_vertical_wall():
+    # the wall's shadow is the segment (0, 0) - (10, 10): only its own line
+    # separates it from `below`, whose edges all leave the wall on the
+    # side of their third vertex
+    wall = int_triangle((P(0, 0, 0), P(0, 0, 10), P(10, 10, 0)))
+    below = int_triangle((P(6, 5, 3), P(-100, -200, 3), P(200, -100, 3)))
+    across = int_triangle((P(6, 7, 3), P(-100, -200, 3), P(200, -100, 3)))
+    assert shadows_apart(wall, below) and shadows_apart(below, wall)
+    assert not shadows_apart(wall, across) and not shadows_apart(across, wall)
+    # a shadow touching the other one at a point is not apart
+    corner = int_triangle((P(10, 10, 5), P(20, 10, 5), P(20, 20, 5)))
+    assert not shadows_apart(wall, corner)
+
+
+def test_shadows_apart_drops_most_empty_surface_pairs():
+    # the reject is sound on real candidates and does most of the work:
+    # on clasp_family(2) it drops over nine in ten of the empty box pairs
+    # of every surface pair
+    e = build_embedding(clasp_family(2))
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        Fa, Fb = e.surfaces[a], e.surfaces[b]
+        empty = dropped = 0
+        for i, j in Fa.index.pairs(Fb.index):
+            apart = shadows_apart(Fa.lifted[i], Fb.lifted[j])
+            if triangle_triangle(Fa.lifted[i], Fb.lifted[j])[0] != "empty":
+                assert not apart, (a, b, i, j)
+                continue
+            empty += 1
+            dropped += apart
+        assert dropped >= 0.9 * empty, (a, b, dropped, empty)
+
+
 def _ref_locate(curve, p):
     """The linear scan PLCurve.locate filters by segment boxes."""
     for i, (a, b) in enumerate(curve.segments()):
@@ -699,6 +760,10 @@ def _pair(rng, kind):
         t2 = (_in_plane(rng, t1), _in_plane(rng, t1), _in_plane(rng, t1))
     elif kind == "edge_touch":
         t2 = (_on(rng, a, b), _rp(rng), _rp(rng))
+    elif kind == "vertical":
+        # a wall: two vertices over one xy point, so the shadow is a segment
+        p = _on(rng, a, b) if rng.random() < 0.5 else _rp(rng)
+        t2 = (p, (p[0], p[1], _rq(rng)), _rp(rng))
     else:  # parallel planes: a translate of an in-plane triangle
         off = _rp(rng) if rng.random() < 0.7 else (0, 0, 0)
         t2 = tuple(v_add(_in_plane(rng, t1), off) for _ in range(3))
@@ -707,9 +772,11 @@ def _pair(rng, kind):
     return t1, t2
 
 
-@pytest.mark.parametrize(
-    "kind", ["random", "shared_vertex", "shared_edge", "coplanar", "edge_touch", "parallel"]
-)
+_KINDS = ["random", "shared_vertex", "shared_edge", "coplanar", "edge_touch",
+          "parallel", "vertical"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 def test_triangle_triangle_matches_rational_reference(kind):
     rng = random.Random("tri-tri-" + kind)
     kinds = set()
@@ -724,6 +791,22 @@ def test_triangle_triangle_matches_rational_reference(kind):
         kinds.add(want[0])
         checked += 1
     assert len(kinds) >= 2, kinds
+
+
+def test_shadows_apart_never_drops_a_meeting_pair():
+    rng = random.Random("shadows")
+    rejected = dict.fromkeys(_KINDS, 0)
+    for kind in _KINDS:
+        for _ in range(300):
+            t1, t2 = _pair(rng, kind)
+            if not (_nondegenerate(t1) and _nondegenerate(t2)):
+                continue
+            if shadows_apart(int_triangle(t1), int_triangle(t2)):
+                assert _ref_triangle_triangle(t1, t2) == ("empty",), (kind, t1, t2)
+                rejected[kind] += 1
+    # a shared vertex is a common shadow point, so only some kinds can part
+    assert rejected["shared_vertex"] == rejected["shared_edge"] == 0
+    assert all(rejected[k] > 0 for k in ("random", "parallel", "vertical")), rejected
 
 
 def test_segment_triangle_matches_rational_reference():

@@ -12,7 +12,7 @@ from masseylink.embed import build_embedding
 from masseylink.errors import NonzeroLinking, NotGeneric, StuckTrace
 from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
 from masseylink.massey import massey3
-from masseylink.plgeom import PLCurve, PLSurface, qpoint as P, v_sub, v_cross, v_dot
+from masseylink.plgeom import PLCurve, PLSurface, v_sub, v_cross, v_dot
 from masseylink.rational import Q, sign
 from masseylink.trace import (
     BoundaryPiece,
@@ -25,6 +25,7 @@ from masseylink.trace import (
     trace_derived_boundary,
     trace_pair,
 )
+from plref import qpoint as P
 
 
 # -- surface_intersection on hand geometry ------------------------------------
@@ -686,6 +687,17 @@ def _walk_cases():
     return ([(name, load_fixture(name)) for name in fixture_names()]
             + [("clasp_family(%d)" % k, clasp_family(k)) for k in (1, 2, 3)]
             + closures)
+
+
+def test_box_pairs_match_queries_on_every_surface_pair():
+    # surface_intersection pairs triangles with one sweep; it must see the
+    # candidates of the per-row query loop, in the same order
+    for name, d in _walk_cases() + [("clasp_family(4)", clasp_family(4))]:
+        e = build_embedding(d)
+        for a, b in _ordered_pairs(e):
+            A, B = e.surfaces[a].index, e.surfaces[b].index
+            want = [(i, j) for i, row in enumerate(A.arr) for j in B.query(row)]
+            assert A.pairs(B) == want, (name, a, b)
 
 
 def test_one_walk_matches_two_phase_trace():
