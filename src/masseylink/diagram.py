@@ -424,17 +424,3 @@ def parse_gauss(text):
         if x.sign != seen[lbl][0][1]:
             raise InconsistentDiagram("sign of crossing %d is inconsistent" % lbl)
     return d
-
-
-def export_gauss(d):
-    """Gauss code of a diagram; inverse of parse_gauss up to relabeling."""
-    chunks = []
-    for arcs in d.components:
-        toks = []
-        for a in arcs:
-            if a in d.arc_ends:
-                idx, slot = d.arc_ends[a][1]
-                s = "+" if d.crossings[idx].sign > 0 else "-"
-                toks.append("%s%d%s" % ("U" if slot == 0 else "O", idx + 1, s))
-        chunks.append(" ".join(toks))
-    return " ; ".join(chunks)

@@ -326,14 +326,10 @@ def _verify_positions(d, arcs, rot, pos):
     if segments_touch(segs):
         return None
     crossing_nodes = [u for u in rot if u[0] == "x"]
-    # clearance: crossing centers far from non-incident segments
+    if not _centers_clear([pos[node] for node in crossing_nodes], segs):
+        return None
     for node in crossing_nodes:
         X = pos[node]
-        for a, b in segs:
-            if X in (a, b):
-                continue
-            if _too_close(X, a, b):
-                return None
         # incident arm stubs long enough for the diamond
         for nbr in rot[node]:
             p = pos[nbr]
@@ -363,6 +359,26 @@ def _verify_positions(d, arcs, rot, pos):
             return None
         chirality = order
     return chirality or 1
+
+
+def _centers_clear(centers, segs):
+    """Is every center at least sqrt(_MIN_CLEAR2) from each segment that
+    it is not an end of?
+
+    A center at least _MIN_CLEAR outside a segment's x or y range is at
+    least that far from it, so only the centers strictly inside the
+    segment's box widened by _MIN_CLEAR go to ``_too_close``.
+    """
+    boxes = [(min(a[0], b[0]) - _MIN_CLEAR, max(a[0], b[0]) + _MIN_CLEAR,
+              min(a[1], b[1]) - _MIN_CLEAR, max(a[1], b[1]) + _MIN_CLEAR, a, b)
+             for a, b in segs]
+    for X in centers:
+        x, y = X
+        for x0, x1, y0, y1, a, b in boxes:
+            if (x0 < x < x1 and y0 < y < y1 and X != a and X != b
+                    and _too_close(X, a, b)):
+                return False
+    return True
 
 
 def _cyclic_order(dirs):

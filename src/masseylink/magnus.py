@@ -8,8 +8,6 @@ iteratively up to the truncation degree), and the triple invariant is read
 off a longitude's degree-two coefficient.
 """
 
-from dataclasses import dataclass
-
 from .errors import PairwiseLinkingNonzero
 
 
@@ -98,28 +96,6 @@ class TruncatedSeries:
     def __repr__(self):
         terms = sorted(self._clean().items(), key=lambda t: (len(t[0]), t[0]))
         return "Series(%s)" % ", ".join("%r:%d" % (w, c) for w, c in terms)
-
-
-@dataclass(frozen=True)
-class WirtingerPresentation:
-    generators: tuple        # arc labels
-    relations: tuple         # (under_out, over_in, sign, under_in) per crossing
-    component_map: dict      # arc -> component id
-
-
-def wirtinger(d):
-    """Wirtinger presentation on the diagram's arcs.
-
-    Each crossing contributes the relation
-    under_out = over^{-sign} under_in over^{sign}; the two over-strand
-    arcs at a crossing represent the same group element.
-    """
-    gens = tuple(a for arcs in d.components for a in arcs)
-    rels = tuple(
-        (x.under_out, x.over_in, x.sign, x.under_in) for x in d.crossings
-    )
-    comp = {a: d.arc_component(a) for a in gens}
-    return WirtingerPresentation(gens, rels, comp)
 
 
 def longitude_word(d, i):

@@ -6,10 +6,13 @@ returned as explicit result kinds, never absorbed.  Callers that need a
 degeneracy resolved are expected to perturb their input and retry.
 The triangle kernel decides every sign on integers (see "integer forms").
 
-A pair of surface triangles meets three filters in order: their float
+A pair of surface triangles meets three tests in order: their float
 boxes must overlap (``BoxIndex``), their xy shadows must not be proved
 apart (``shadows_apart``, exact), and only then does the exact kernel
-``triangle_triangle`` run.  Neither filter drops a pair that meets.
+``triangle_triangle`` cut each triangle by the other's stored plane and
+overlap the two cuts.  Neither filter drops a pair that meets.  The
+kernel orients what it returns: a segment of two triangles whose planes
+are not parallel runs along n1 x n2, the cross product of their normals.
 
 Intersection results are tagged tuples:
   ("empty",)
@@ -71,12 +74,14 @@ def tri_normal(tri):
 #
 # Every sign test of the triangle kernel runs on Python ints.  A set of
 # rational points is lifted to one common denominator D, the lcm of its
-# coordinate denominators, and a pair of triangles is brought to
-# lcm(D1, D2) by integer multiplication.  A constructed point is carried
-# as a homogeneous hit (X, W, r): the integer vector X and weight W > 0
-# stand for X / (W * D), and r is the rational point itself when the hit
-# is an input vertex.  Rationals are built only for returned points, so
-# each result is the canonical rational of the direct computation.
+# coordinate denominators.  Two lifted sets are compared by
+# cross-multiplying their denominators; only a coplanar pair of triangles
+# is brought to lcm(D1, D2) by integer multiplication.  A constructed
+# point is carried as a homogeneous hit (X, W, r): the integer vector X
+# and weight W > 0 stand for X / (W * D), and r is the rational point
+# itself when the hit is an input vertex.  Rationals are built only for
+# returned points, so each result is the canonical rational of the direct
+# computation.
 
 
 class IntTriangle(NamedTuple):
@@ -119,10 +124,6 @@ def _rational(hit, D):
         return r
     den = W * D
     return (Q(X[0], den), Q(X[1], den), Q(X[2], den))
-
-
-def _same(h, g):
-    return v_scale(h[0], g[1]) == v_scale(g[0], h[1])
 
 
 def _plane(T):
@@ -204,25 +205,7 @@ def _seg_point_param(a, b, p):
 
 
 # ---------------------------------------------------------------------------
-# segment / triangle
-
-
-def _segment_hits(p0, p1, r0, r1, d0, d1, T, n, edges):
-    """Hits of the integer segment p0 p1 (rational ends r0, r1) on the
-    integer triangle T, given the plane values d0, d1 of its ends."""
-    s0, s1 = sign(d0), sign(d1)
-    if s0 == 0 and s1 == 0:
-        return _coplanar_segment_hits(p0, p1, r0, r1, T, n)
-    if s0 == s1:
-        return []
-    if s0 == 0:
-        return [(p0, 1, r0)] if _where(edges, p0, 1) != "outside" else []
-    if s1 == 0:
-        return [(p1, 1, r1)] if _where(edges, p1, 1) != "outside" else []
-    X, W = _crossing(p0, p1, d0, d1)
-    if _where(edges, X, W) == "outside":
-        return []
-    return [(X, W, None)]
+# segment / plane
 
 
 def _crossing(p0, p1, d0, d1):
@@ -230,49 +213,6 @@ def _crossing(p0, p1, d0, d1):
     where p0 p1 crosses a plane with values d0, d1 of opposite signs."""
     X, W = v_sub(v_scale(p1, d0), v_scale(p0, d1)), d0 - d1
     return (X, W) if W > 0 else (v_scale(X, -1), -W)
-
-
-def _coplanar_segment_hits(p0, p1, r0, r1, T, n):
-    ax = _drop_axis(n)
-    a2, b2 = _proj(p0, ax), _proj(p1, ax)
-    t2 = [_proj(v, ax) for v in T]
-    if orient2(*t2) < 0:
-        t2.reverse()
-    # clip the segment parameter interval against the three half-planes;
-    # parameters are fractions (numerator, positive denominator)
-    lo, hi = (0, 1), (1, 1)
-    d = (b2[0] - a2[0], b2[1] - a2[1])
-    for i in range(3):
-        e0, e1 = t2[i], t2[(i + 1) % 3]
-        # inward normal: inside means orient2(e0, e1, x) >= 0
-        nx, ny = e0[1] - e1[1], e1[0] - e0[0]
-        num = nx * (a2[0] - e0[0]) + ny * (a2[1] - e0[1])
-        den = nx * d[0] + ny * d[1]
-        if den == 0:
-            if num < 0:
-                return []
-            continue
-        if den > 0:
-            if -num * lo[1] > lo[0] * den:
-                lo = (-num, den)
-        elif num * hi[1] < hi[0] * -den:
-            hi = (num, -den)
-        if lo[0] * hi[1] > hi[0] * lo[1]:
-            return []
-    hits = [_segment_point(p0, p1, r0, r1, lo)]
-    if lo[0] * hi[1] != hi[0] * lo[1]:
-        hits.append(_segment_point(p0, p1, r0, r1, hi))
-    return hits
-
-
-def _segment_point(p0, p1, r0, r1, t):
-    """Hit at p0 + t (p1 - p0) for the fraction t = (num, den)."""
-    num, den = t
-    if num == 0:
-        return (p0, 1, r0)
-    if num == den:
-        return (p1, 1, r1)
-    return (v_add(v_scale(p0, den - num), v_scale(p1, num)), den, None)
 
 
 # ---------------------------------------------------------------------------
@@ -321,61 +261,84 @@ def _beyond_an_edge(A, DA, B, DB):
     return False
 
 
-def triangle_triangle(t1, t2):
-    """Exact intersection of two closed triangles.
+def triangle_triangle(t1, t2, plane1=None, plane2=None):
+    """Exact intersection of two closed triangles with non-zero normals.
 
-    Each argument is a rational vertex triple or its IntTriangle; a
-    PLSurface keeps the latter for every triangle in ``lifted``.
+    Each triangle is a rational vertex triple or its IntTriangle, and each
+    plane its integer plane (n, k), n . X = k on the integer vertices: a
+    PLSurface keeps both for every triangle, in ``lifted`` and ``planes``.
+    A plane left None is computed; the result is the same either way.
+
+    Callers reach this kernel third, after the float boxes and the xy
+    shadows of the pair.  It then decides the pair by plane cuts, the
+    interval test of Moller ("A Fast Triangle-Triangle Intersection
+    Test", JGT 1997) in exact integers.  The side of a vertex of B
+    against A's plane is D_A (n_A . B_i) - D_B k_A, a positive multiple
+    of the rational one, and likewise for A against B's plane.  All of one
+    triangle strictly on one side means no contact.  All of B on A's plane
+    means coplanar triangles, which alone are brought to one denominator
+    and clipped in 2D.  Otherwise each triangle is cut by the other's
+    plane (``_cut``): a point or a segment of the line both planes share.
+    The triangles meet in the overlap of the two cuts, found by ordering
+    their ends along n_A x n_B with cross-multiplied denominators.
+
+    Orientation contract: when the planes are not parallel, a "segment"
+    (p, q) runs along n1 x n2, that is (n1 x n2) . (q - p) > 0, with n1,
+    n2 the normals of the triangles as wound.  Only coplanar triangles
+    give a "polygon" or a segment of no set direction.  A triangle with a
+    zero normal (collinear vertices) is outside the contract.
     """
     D1, A, R1 = t1 if isinstance(t1, IntTriangle) else int_triangle(t1)
     D2, B, R2 = t2 if isinstance(t2, IntTriangle) else int_triangle(t2)
-    D, A, B = _common(D1, A, D2, B)
-    n1, k1 = _plane(A)
-    n2, k2 = _plane(B)
-    d2 = [v_dot(n1, v) - k1 for v in B]
+    n1, k1 = _plane(A) if plane1 is None else plane1
+    n2, k2 = _plane(B) if plane2 is None else plane2
+    d2 = [D1 * v_dot(n1, v) - D2 * k1 for v in B]
     if all(d > 0 for d in d2) or all(d < 0 for d in d2):
         return EMPTY
-    d1 = [v_dot(n2, v) - k2 for v in A]
+    d1 = [D2 * v_dot(n2, v) - D1 * k2 for v in A]
     if all(d > 0 for d in d1) or all(d < 0 for d in d1):
         return EMPTY
-    if all(d == 0 for d in d2):
+    if not any(d2):
+        D, A, B = _common(D1, A, D2, B)
         return _coplanar_triangle_triangle(A, B, R1, n1, D)
-
-    e1, e2 = _edge_planes(A, n1), _edge_planes(B, n2)
-    hits = []
-    for i in range(3):
-        j = (i + 1) % 3
-        hits += _segment_hits(A[i], A[j], R1[i], R1[j], d1[i], d1[j], B, n2, e2)
-        hits += _segment_hits(B[i], B[j], R2[i], R2[j], d2[i], d2[j], A, n1, e1)
-    if not hits:
-        return EMPTY
-    # all hits lie on the common line; order them along it
     axis = v_cross(n1, n2)
-    if axis == (0, 0, 0):
-        # parallel planes but contact detected: only possible when an edge
-        # lies in the other plane; order along that edge instead
-        (X0, W0, _), (X1, W1, _) = hits[0], hits[-1]
-        axis = v_sub(v_scale(X1, W0), v_scale(X0, W1))
-        if axis == (0, 0, 0):
-            return ("point", _rational(hits[0], D))
-    lo = hi = hits[0]
-    for h in hits[1:]:
-        if _before(axis, h, lo):
-            lo = h
-        if not _before(axis, h, hi):
-            hi = h
-    if _same(lo, hi):
-        return ("point", _rational(lo, D))
-    return ("segment", (_rational(lo, D), _rational(hi, D)))
+    lo1, hi1 = _cut(A, R1, d1, D1, axis)
+    lo2, hi2 = _cut(B, R2, d2, D2, axis)
+    # the overlap runs from the later low end to the earlier high end
+    lo = lo2 if _after(lo2, lo1) else lo1
+    hi = hi2 if _after(hi1, hi2) else hi1
+    if _after(lo, hi):
+        return EMPTY
+    if not _after(hi, lo):
+        return ("point", _rational(lo[2], lo[3]))
+    return ("segment", (_rational(lo[2], lo[3]), _rational(hi[2], hi[3])))
 
 
-def _before(axis, h, g):
-    """(axis . h, h) < (axis . g, g) lexicographically, for two hits."""
-    (X, W, _), (Y, V, _) = h, g
-    a, b = v_dot(axis, X) * V, v_dot(axis, Y) * W
-    if a != b:
-        return a < b
-    return v_scale(X, V) < v_scale(Y, W)
+def _cut(T, R, d, D, axis):
+    """The low and the high end along ``axis`` of the cut of a triangle by
+    a plane, given the sides d of its vertices: neither all zero nor all
+    of one strict sign.  T holds the integer vertices over D and R the
+    rational ones.  An end is (axis . X, W, hit, D) for the hit (X, W, r)
+    at X / (W D): a vertex on the plane, or an edge crossing it."""
+    ends = []
+    for i in range(3):
+        di, dj = d[i], d[(i + 1) % 3]
+        if di == 0:
+            X, W, r = T[i], 1, R[i]
+        elif dj != 0 and (di > 0) != (dj > 0):
+            (X, W), r = _crossing(T[i], T[(i + 1) % 3], di, dj), None
+        else:
+            continue
+        ends.append((v_dot(axis, X), W, (X, W, r), D))
+    # one end when a lone vertex touches the plane, else two
+    if len(ends) == 1 or not _after(ends[0], ends[1]):
+        return ends[0], ends[-1]
+    return ends[1], ends[0]
+
+
+def _after(e, f):
+    """End e lies strictly beyond end f along the axis of ``_cut``."""
+    return e[0] * f[1] * f[3] > f[0] * e[1] * e[3]
 
 
 def _coplanar_triangle_triangle(A, B, R1, n, D):
@@ -593,7 +556,7 @@ class PLSurface:
         already proved embedded together and are not compared.
         """
         idx = self.index
-        lifted = self.lifted
+        lifted, planes = self.lifted, self.planes
         for i, t1 in enumerate(self.triangles):
             cup = cups[i] if cups is not None else None
             for j in idx.query(idx.arr[i]):
@@ -601,7 +564,7 @@ class PLSurface:
                     continue
                 if shadows_apart(lifted[i], lifted[j]):
                     continue
-                r = triangle_triangle(lifted[i], lifted[j])
+                r = triangle_triangle(lifted[i], lifted[j], planes[i], planes[j])
                 if r[0] == "empty":
                     continue
                 # distinct common vertices, compared without hashing

@@ -29,10 +29,7 @@ from .plgeom import (
     stitch,
     triangle_triangle,
     v_cross,
-    v_dot,
-    v_sub,
 )
-from .rational import sign
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,18 @@ def surface_intersection(F_a, F_b):
 
     Arcs come first, then circles, each in the order of ``stitch``.
     Points are keyed on the integers of ``point_key`` and compared as
-    rationals only to order the output.
+    rationals only to order the output.  Each segment is oriented by the
+    contract of ``triangle_triangle``: from triangles whose planes are not
+    parallel it runs along n_a x n_b, so a witness pair says +1 when its
+    segment is in key order and -1 when not, and every witness of one
+    segment must say the same.
     """
-    segs = {}   # unordered key pair -> [p, q, witness triangle pairs]
+    segs = {}   # unordered key pair -> [p, q in key order, witnesses]
     for ia, ib in F_a.index.pairs(F_b.index):
         ta, tb = F_a.lifted[ia], F_b.lifted[ib]
         if shadows_apart(ta, tb):
             continue
-        r = triangle_triangle(ta, tb)
+        r = triangle_triangle(ta, tb, F_a.planes[ia], F_b.planes[ib])
         if r[0] == "empty":
             continue
         if r[0] == "polygon":
@@ -105,21 +106,21 @@ def surface_intersection(F_a, F_b):
         else:
             p, q = r[1]
         kp, kq = point_key(p), point_key(q)
-        key = (kp, kq) if kp <= kq else (kq, kp)
-        segs.setdefault(key, [p, q, []])[2].append((ia, ib))
+        # the kernel's segment runs along n_a x n_b: +1 when that is key order
+        way = 1 if kp <= kq else -1
+        key, ends = ((kp, kq), (p, q)) if way > 0 else ((kq, kp), (q, p))
+        segs.setdefault(key, [*ends, []])[2].append((ia, ib, way))
 
     oriented = []
     for (kp, kq), (p, q, wits) in segs.items():
         if kp == kq:
             continue  # point contacts are checked after stitching
-        d = v_sub(q, p)
         dirs = set()
-        for ia, ib in wits:
-            # integer normals: positive multiples of the rational ones
-            s = sign(v_dot(v_cross(F_a.planes[ia][0], F_b.planes[ib][0]), d))
-            if s == 0:
+        for ia, ib, way in wits:
+            # parallel normals: coplanar triangles touching along an edge
+            if v_cross(F_a.planes[ia][0], F_b.planes[ib][0]) == (0, 0, 0):
                 raise NotGeneric("tangential surface contact")
-            dirs.add(s)
+            dirs.add(way)
         if len(dirs) != 1:
             raise NotGeneric("inconsistent orientation along intersection")
         oriented.append((p, q) if dirs.pop() > 0 else (q, p))
@@ -199,12 +200,6 @@ def _balanced_pierces(K_a, F_b, pair):
     if total != 0:
         raise NonzeroLinking("pierce labels of pair %r sum to %d" % (pair, total))
     return pierces
-
-
-def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0)):
-    """Derived boundary of the ordered pair, on explicit curves/surfaces."""
-    return _trace(K_a, K_b, _balanced_pierces(K_a, F_b, pair), pair,
-                  surface_intersection(F_a, F_b))
 
 
 def _trace(K_a, K_b, pierces, pair, curves):

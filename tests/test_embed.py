@@ -2,8 +2,10 @@ import dataclasses
 import json
 import random
 import re
+from collections import Counter
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -11,6 +13,8 @@ from masseylink.diagram import parse_pd
 from masseylink.drawing import (
     _DIAMOND,
     _MIN_CLEAR2,
+    _centers_clear,
+    _cyclic_order,
     _diamond_exit,
     _on_seg2,
     _strictly_between,
@@ -264,6 +268,86 @@ def test_one_exact_layout_check_per_piece(monkeypatch):
         results.clear()
         draw_diagram(d)
         assert results == [1] * _pieces_with_crossings(d), name
+
+
+def _ref_verify_positions(d, arcs, rot, pos):
+    """drawing._verify_positions with the unfiltered clearance scan: every
+    crossing center against every segment not incident to it."""
+    if len(set(pos.values())) != len(pos):
+        return None
+    segs = []
+    for arc in arcs:
+        (xo, _), (xi, _) = d.arc_ends[arc]
+        path = [pos[("x", xo)], pos[("s", arc, 0)], pos[("s", arc, 1)], pos[("x", xi)]]
+        segs += zip(path, path[1:])
+    if segments_touch(segs):
+        return None
+    crossing_nodes = [u for u in rot if u[0] == "x"]
+    for node in crossing_nodes:
+        X = pos[node]
+        for a, b in segs:
+            if X not in (a, b) and _too_close(X, a, b):
+                return None
+        for nbr in rot[node]:
+            p = pos[nbr]
+            if (p[0] - X[0]) ** 2 + (p[1] - X[1]) ** 2 < _MIN_CLEAR2:
+                return None
+    xs = [pos[node] for node in crossing_nodes]
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if (xs[i][0] - xs[j][0]) ** 2 + (xs[i][1] - xs[j][1]) ** 2 < 4 * _MIN_CLEAR2:
+                return None
+    chirality = None
+    for node in crossing_nodes:
+        X = pos[node]
+        order = _cyclic_order([(pos[rot[node][k]][0] - X[0], pos[rot[node][k]][1] - X[1])
+                               for k in range(4)])
+        if order is None or (order != chirality and chirality is not None):
+            return None
+        chirality = order
+    return chirality or 1
+
+
+def test_clearance_box_reject_matches_unfiltered_scan():
+    # one center against one segment, on a grid small enough that the
+    # widened boxes' edges and every branch of _too_close come up often
+    rng = random.Random("centers-clear")
+    seen = Counter()
+    for _ in range(20000):
+        a, b, X = [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(3)]
+        if a == b:
+            continue
+        want = X in (a, b) or not _too_close(X, a, b)
+        assert _centers_clear([X], [(a, b)]) == want, (X, a, b)
+        seen[want] += 1
+    assert min(seen.values()) > 2000, seen
+
+
+def test_clearance_box_reject_keeps_every_verdict(monkeypatch):
+    # the layouts draw_diagram checks, at their own scale and at smaller
+    # ones, where the clearances start to fail
+    import masseylink.drawing as drawing
+
+    real = drawing._verify_positions
+    calls = []
+    monkeypatch.setattr(drawing, "_verify_positions",
+                        lambda *args: calls.append(args) or real(*args))
+    diagrams = (
+        [load_fixture(name) for name in fixture_names()]
+        + [clasp_family(k) for k in range(1, 9)]
+        + [braid_closure(w, 3) for w in _zero_linking_words(16, seed=424242)]
+    )
+    for d in diagrams:
+        draw_diagram(d)
+    verdicts = Counter()
+    for d, arcs, rot, pos in calls:
+        g = gcd(*(c for p in pos.values() for c in p))
+        for t in (g, 3, 5, 7, 8, 9):
+            scaled = {u: (x // g * t, y // g * t) for u, (x, y) in pos.items()}
+            want = _ref_verify_positions(d, arcs, rot, scaled)
+            assert real(d, arcs, rot, scaled) == want, (d, t)
+            verdicts[want] += 1
+    assert verdicts[1] > len(calls) and verdicts[None] > len(calls), verdicts
 
 
 def _dist2_point_seg_fraction(p, a, b):

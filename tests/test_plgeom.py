@@ -1,7 +1,9 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +39,15 @@ from masseylink.plgeom import (
 )
 from masseylink.rational import Q
 from masseylink.trace import trace_derived_boundary
-from plref import orient3, point_in_triangle, qpoint as P, segment_triangle
+from plref import (
+    banded_closures,
+    edge_hit_triangle_triangle,
+    orient3,
+    point_in_triangle,
+    qpoint as P,
+    seeded_closures,
+    segment_triangle,
+)
 
 
 def test_orient3_right_handed_basis():
@@ -442,6 +452,55 @@ def test_shadows_apart_drops_most_empty_surface_pairs():
         assert dropped >= 0.9 * empty, (a, b, dropped, empty)
 
 
+@lru_cache(maxsize=None)
+def _surface_cases():
+    """(name, embedding) of every fixture, clasp_family(1..4), the seeded
+    closures and the banded closures, each built once for this module."""
+    diagrams = (
+        [(name, load_fixture(name)) for name in fixture_names()]
+        + [("clasp_family(%d)" % k, clasp_family(k)) for k in (1, 2, 3, 4)]
+        + seeded_closures() + banded_closures()
+    )
+    return [(name, build_embedding(d)) for name, d in diagrams]
+
+
+def test_surface_triangles_have_nonzero_normals():
+    # the precondition of triangle_triangle holds on every surface built;
+    # for the disks it holds because an ear is clipped only when orient2 of
+    # its corners is the polygon's nonzero orientation
+    for name, e in _surface_cases():
+        for k, F in e.surfaces.items():
+            assert all(n != (0, 0, 0) for n, _ in F.planes), (name, k)
+
+
+def test_plane_cuts_match_edge_hit_kernel_on_surface_pairs():
+    # every pair that passes the box and the shadow filters, within one
+    # surface (as check_embedded sees them) and across two surfaces in both
+    # orders, gives the edge-hit kernel's result from the stored planes;
+    # segments of non-parallel planes run along n1 x n2
+    kinds = Counter()
+    for name, e in _surface_cases():
+        for a, b in combinations_with_replacement(sorted(e.surfaces), 2):
+            Fa, Fb = e.surfaces[a], e.surfaces[b]
+            for i, j in Fa.index.pairs(Fb.index):
+                if a == b and j <= i:
+                    continue
+                sides = [(Fa, i, Fb, j)] + ([(Fb, j, Fa, i)] if a != b else [])
+                for F, s, G, t in sides:
+                    t1, t2 = F.lifted[s], G.lifted[t]
+                    if shadows_apart(t1, t2):
+                        continue
+                    got = triangle_triangle(t1, t2, F.planes[s], G.planes[t])
+                    assert got == edge_hit_triangle_triangle(t1, t2), (name, a, b, i, j)
+                    axis = v_cross(F.planes[s][0], G.planes[t][0])
+                    if got[0] == "segment" and axis != (0, 0, 0):
+                        p, q = got[1]
+                        assert v_dot(axis, v_sub(q, p)) > 0, (name, a, b, i, j)
+                    kinds[got[0], a == b] += 1
+    assert {k for k, _ in kinds} == {"empty", "point", "segment"}, kinds
+    assert all(kinds[k, False] for k in ("empty", "point", "segment")), kinds
+
+
 def _ref_locate(curve, p):
     """The linear scan PLCurve.locate filters by segment boxes."""
     for i, (a, b) in enumerate(curve.segments()):
@@ -787,10 +846,35 @@ def test_triangle_triangle_matches_rational_reference(kind):
             continue
         want = _ref_triangle_triangle(t1, t2)
         assert triangle_triangle(t1, t2) == want, (t1, t2)
-        assert triangle_triangle(int_triangle(t1), int_triangle(t2)) == want
+        i1, i2 = int_triangle(t1), int_triangle(t2)
+        assert triangle_triangle(i1, i2) == want
+        assert triangle_triangle(i1, i2, _plane(i1.verts), _plane(i2.verts)) == want
+        assert edge_hit_triangle_triangle(t1, t2) == want, (t1, t2)
         kinds.add(want[0])
         checked += 1
     assert len(kinds) >= 2, kinds
+
+
+def test_triangle_triangle_segments_run_along_the_normal_cross_product():
+    # the orientation contract that surface_intersection reads: every
+    # segment of two triangles whose planes are not parallel runs along
+    # n1 x n2, whichever triangle comes first
+    rng = random.Random("tri-tri-orientation")
+    segments = dict.fromkeys(_KINDS, 0)
+    for kind in _KINDS:
+        for _ in range(300):
+            t1, t2 = _pair(rng, kind)
+            if not (_nondegenerate(t1) and _nondegenerate(t2)):
+                continue
+            axis = v_cross(_ref_normal(t1), _ref_normal(t2))
+            for axis, (u, v) in ((axis, (t1, t2)), (v_scale(axis, -1), (t2, t1))):
+                r = triangle_triangle(u, v)
+                if r[0] != "segment" or axis == (0, 0, 0):
+                    continue
+                lo, hi = r[1]
+                assert v_dot(axis, v_sub(hi, lo)) > 0, (kind, u, v)
+                segments[kind] += 1
+    assert all(segments[k] > 0 for k in _KINDS if k not in ("coplanar", "parallel")), segments
 
 
 def test_shadows_apart_never_drops_a_meeting_pair():

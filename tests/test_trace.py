@@ -23,9 +23,15 @@ from masseylink.trace import (
     reversed_intersection,
     surface_intersection,
     trace_derived_boundary,
-    trace_pair,
 )
-from plref import qpoint as P
+from plref import qpoint as P, seeded_closures
+
+
+def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0)):
+    """Derived boundary of the ordered pair on explicit curves and
+    surfaces, with no embedding and no cache."""
+    return trace._trace(K_a, K_b, trace._balanced_pierces(K_a, F_b, pair), pair,
+                        trace.surface_intersection(F_a, F_b))
 
 
 # -- surface_intersection on hand geometry ------------------------------------
@@ -68,6 +74,38 @@ def test_pair_order_reversal_negates_arcs():
     (c12,) = surface_intersection(s1, s2)
     (c21,) = surface_intersection(s2, s1)
     assert c12.points == tuple(reversed(c21.points))
+
+
+_FLOOR = (P(-5, -5, 0), P(5, -5, 0), P(0, 5, 0))
+# coplanar with the floor, outside it, touching its edge y = -5 along
+# x in [-1, 1]; wound either way
+_TOUCH = (P(1, -5, 0), P(-1, -5, 0), P(0, -7, 0))
+# two triangles folded along x in [-1, 1] on the floor, both above it: the
+# fold is their one contact with the floor and each witness orients it
+# the other way
+_TENT = [(P(-1, 0, 0), P(1, 0, 0), P(0, -1, 1)), (P(1, 0, 0), P(-1, 0, 0), P(0, 1, 1))]
+
+
+@pytest.mark.parametrize("touch", [_TOUCH, _TOUCH[::-1],
+                                   (P(-5, -5, 0), P(5, -5, 0), P(0, -7, 0))])
+def test_coplanar_edge_contact_is_tangential(touch):
+    floor, edge = PLSurface([_FLOOR]), PLSurface([touch])
+    for F_a, F_b in ((floor, edge), (edge, floor)):
+        with pytest.raises(NotGeneric, match="tangential surface contact"):
+            surface_intersection(F_a, F_b)
+
+
+def test_folded_contact_is_inconsistently_oriented():
+    floor, tent = PLSurface([_FLOOR]), PLSurface(_TENT)
+    for F_a, F_b in ((floor, tent), (tent, floor)):
+        with pytest.raises(NotGeneric, match="inconsistent orientation along intersection"):
+            surface_intersection(F_a, F_b)
+    # each refusal is raised at its segment, in the order the witnesses
+    # were found
+    with pytest.raises(NotGeneric, match="inconsistent orientation"):
+        surface_intersection(PLSurface(_TENT + [_TOUCH]), floor)
+    with pytest.raises(NotGeneric, match="tangential surface contact"):
+        surface_intersection(PLSurface([_TOUCH] + _TENT), floor)
 
 
 # -- a synthetic two-disk configuration traced by hand -------------------------
@@ -674,19 +712,10 @@ def _loop_shape(loop, pair):
 
 
 def _walk_cases():
-    """Every fixture, clasp_family(1..3) and the 16 seeded closures of
-    test_massey.py::test_random_zero_linking_closures_match_oracle."""
-    rng = random.Random(424242)
-    closures = []
-    while len(closures) < 16:
-        word = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(6, 12)))
-        d = braid_closure(word, 3)
-        if d.n_components == 3 and not any(
-                d.linking_number(a, b) for a, b in ((1, 2), (2, 3), (1, 3))):
-            closures.append(("closure%s" % (word,), d))
+    """Every fixture, clasp_family(1..3) and the 16 seeded closures."""
     return ([(name, load_fixture(name)) for name in fixture_names()]
             + [("clasp_family(%d)" % k, clasp_family(k)) for k in (1, 2, 3)]
-            + closures)
+            + seeded_closures())
 
 
 def test_box_pairs_match_queries_on_every_surface_pair():
