@@ -6,7 +6,7 @@ on any mismatch.  Each k prints the build time, every ordering of the first
 sweep, then the time of that sweep and of a second, warm sweep on the same
 embedding (its intersections and pierces already computed).
 
-Usage: sweep_clasps.py [max_k]   (default 8)
+Usage: sweep_clasps.py [max_k]   (default 16)
 """
 
 import itertools
@@ -20,7 +20,7 @@ from masseylink.massey import massey3
 
 
 def main():
-    max_k = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+    max_k = int(sys.argv[1]) if len(sys.argv) > 1 else 16
     print("  k  crossings  ordering  massey3  -mu  time")
     mismatches = 0
     for k in range(1, max_k + 1):

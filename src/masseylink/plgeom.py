@@ -6,8 +6,9 @@ returned as explicit result kinds, never absorbed.  Callers that need a
 degeneracy resolved are expected to perturb their input and retry.
 The triangle kernel decides every sign on integers (see "integer forms").
 
-A pair of surface triangles meets three tests in order: their float
-boxes must overlap (``BoxIndex``), their xy shadows must not be proved
+Every candidate pair (two triangles, or a curve segment and a triangle)
+comes from one sweep over float boxes, ``BoxIndex.pairs``.  A triangle
+pair then meets two more tests: their xy shadows must not be proved
 apart (``shadows_apart``, exact), and only then does the exact kernel
 ``triangle_triangle`` cut each triangle by the other's stored plane and
 overlap the two cuts.  Neither filter drops a pair that meets.  The
@@ -22,6 +23,7 @@ Intersection results are tagged tuples:
 """
 
 import json
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
@@ -73,8 +75,9 @@ def tri_normal(tri):
 # integer forms
 #
 # Every sign test of the triangle kernel runs on Python ints.  A set of
-# rational points is lifted to one common denominator D, the lcm of its
-# coordinate denominators.  Two lifted sets are compared by
+# rational points (a triangle, or a curve segment on its own two ends) is
+# lifted to one common denominator D, the lcm of its coordinate
+# denominators.  Two lifted sets are compared by
 # cross-multiplying their denominators; only a coplanar pair of triangles
 # is brought to lcm(D1, D2) by integer multiplication.  A constructed
 # point is carried as a homogeneous hit (X, W, r): the integer vector X
@@ -261,13 +264,12 @@ def _beyond_an_edge(A, DA, B, DB):
     return False
 
 
-def triangle_triangle(t1, t2, plane1=None, plane2=None):
+def triangle_triangle(t1, t2, plane1, plane2):
     """Exact intersection of two closed triangles with non-zero normals.
 
-    Each triangle is a rational vertex triple or its IntTriangle, and each
-    plane its integer plane (n, k), n . X = k on the integer vertices: a
-    PLSurface keeps both for every triangle, in ``lifted`` and ``planes``.
-    A plane left None is computed; the result is the same either way.
+    Each triangle is an IntTriangle and each plane its integer plane
+    (n, k), n . X = k on the integer vertices: a PLSurface keeps both for
+    every triangle, in ``lifted`` and ``planes``.
 
     Callers reach this kernel third, after the float boxes and the xy
     shadows of the pair.  It then decides the pair by plane cuts, the
@@ -288,10 +290,10 @@ def triangle_triangle(t1, t2, plane1=None, plane2=None):
     give a "polygon" or a segment of no set direction.  A triangle with a
     zero normal (collinear vertices) is outside the contract.
     """
-    D1, A, R1 = t1 if isinstance(t1, IntTriangle) else int_triangle(t1)
-    D2, B, R2 = t2 if isinstance(t2, IntTriangle) else int_triangle(t2)
-    n1, k1 = _plane(A) if plane1 is None else plane1
-    n2, k2 = _plane(B) if plane2 is None else plane2
+    D1, A, R1 = t1
+    D2, B, R2 = t2
+    n1, k1 = plane1
+    n2, k2 = plane2
     d2 = [D1 * v_dot(n1, v) - D2 * k1 for v in B]
     if all(d > 0 for d in d2) or all(d < 0 for d in d2):
         return EMPTY
@@ -441,9 +443,13 @@ class PLCurve:
         return PLCurve(list(reversed(self.vertices)), self.closed)
 
     @cached_property
-    def _segment_boxes(self):
-        """Float box (lo x, y, z, hi x, y, z) of each segment, as in BoxIndex."""
-        return [_box_row(seg) for seg in self.segments()]
+    def lifted(self):
+        """``lift`` of each segment: (D, (p0, p1)) on its own two ends."""
+        return [lift(seg) for seg in self.segments()]
+
+    @cached_property
+    def index(self):
+        return BoxIndex(self.lifted)
 
     def locate(self, p):
         """Position (seg_index + t in [0,1)) of p on the curve, or None.
@@ -454,7 +460,7 @@ class PLCurve:
         x, y, z = (float(c) for c in p)
         vs = self.vertices
         n = len(vs)
-        for i, (x0, y0, z0, x1, y1, z1) in enumerate(self._segment_boxes):
+        for i, (x0, y0, z0, x1, y1, z1) in enumerate(self.index.arr):
             if not (x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1):
                 continue
             t = _seg_point_param(vs[i], vs[(i + 1) % n], p)
@@ -557,29 +563,28 @@ class PLSurface:
         """
         idx = self.index
         lifted, planes = self.lifted, self.planes
-        for i, t1 in enumerate(self.triangles):
+        for i, j in idx.pairs(idx):
             cup = cups[i] if cups is not None else None
-            for j in idx.query(idx.arr[i]):
-                if j <= i or (cup is not None and cups[j] == cup):
+            if j <= i or (cup is not None and cups[j] == cup):
+                continue
+            if shadows_apart(lifted[i], lifted[j]):
+                continue
+            r = triangle_triangle(lifted[i], lifted[j], planes[i], planes[j])
+            if r[0] == "empty":
+                continue
+            # distinct common vertices, compared without hashing
+            t1, t2 = self.triangles[i], self.triangles[j]
+            shared = []
+            for v in t1:
+                if v in t2 and v not in shared:
+                    shared.append(v)
+            if r[0] == "point" and len(shared) >= 1 and r[1] in shared:
+                continue
+            if r[0] == "segment" and len(shared) == 2:
+                a, b = sorted(shared)
+                if tuple(sorted(r[1])) == (a, b):
                     continue
-                if shadows_apart(lifted[i], lifted[j]):
-                    continue
-                r = triangle_triangle(lifted[i], lifted[j], planes[i], planes[j])
-                if r[0] == "empty":
-                    continue
-                # distinct common vertices, compared without hashing
-                t2 = self.triangles[j]
-                shared = []
-                for v in t1:
-                    if v in t2 and v not in shared:
-                        shared.append(v)
-                if r[0] == "point" and len(shared) >= 1 and r[1] in shared:
-                    continue
-                if r[0] == "segment" and len(shared) == 2:
-                    a, b = sorted(shared)
-                    if tuple(sorted(r[1])) == (a, b):
-                        continue
-                raise NotGeneric("surface self-intersection between %d and %d" % (i, j))
+            raise NotGeneric("surface self-intersection between %d and %d" % (i, j))
 
 
 def point_key(p):
@@ -625,43 +630,33 @@ def stitch(segments):
     return chains, loops
 
 
-def _bbox(points):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    zs = [p[2] for p in points]
-    return (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
-
-
 def _box_row(item):
-    """Float box of one item: a point sequence or an IntTriangle."""
-    if isinstance(item, IntTriangle):
-        D, verts, _ = item
-        cols = list(zip(*verts))
-        return tuple([min(c) / D for c in cols] + [max(c) / D for c in cols])
-    return tuple(float(c) for c in _bbox(list(item)))
+    """Float box (lo x, y, z, hi x, y, z) of a lifted item: an
+    IntTriangle or a (D, integer points) pair."""
+    D, cols = item[0], list(zip(*item[1]))
+    return tuple([min(c) / D for c in cols] + [max(c) / D for c in cols])
 
 
 class BoxIndex:
-    """Float bounding-box prefilter over a list of triangles or segments.
+    """Float bounding-box prefilter over lifted triangles or segments.
 
-    Items are point sequences or IntTriangles; ``arr`` holds one float row
-    (lo x, y, z, hi x, y, z) per item.  A query never misses a pair whose
-    exact boxes overlap, at any scale: ``float`` of an int or a Fraction
-    is correctly rounded (one int/int true division), so it is monotone,
-    and exact ``lo <= hi`` implies ``float(lo) <= float(hi)``.  The
-    integer form gives the same floats: min(ints) / D is one correctly
-    rounded division of the same rational.  Rounding can only add
-    candidates, and callers confirm every candidate with exact arithmetic.
-    A row of ``arr`` is itself a valid query box.  A query returns the
-    indices of the candidate rows in ascending order.
-
-    The box is the first of three filters on a triangle pair: a candidate
-    goes on to ``shadows_apart``, the exact xy-shadow reject, and only a
-    pair that survives both reaches the exact kernel ``triangle_triangle``.
+    ``arr`` holds one float row (lo x, y, z, hi x, y, z) per item, in item
+    order.  ``pairs`` is the one way the package finds candidate pairs;
+    ``query``, a scan of every row against one box, is the reference it
+    must equal.  No pair whose exact boxes overlap is missed, at any
+    scale: min(ints) / D is one correctly rounded int/int division, the
+    ``float`` of the rational corner, so it is monotone and exact
+    ``lo <= hi`` implies ``float(lo) <= float(hi)``.  Rounding can only
+    add candidates, and callers confirm every candidate exactly.  A
+    triangle pair goes on to ``shadows_apart``, the exact xy-shadow
+    reject, and only then to ``triangle_triangle``.
     """
 
     def __init__(self, items):
         self.arr = [_box_row(it) for it in items]
+        # rows by low x, sorted once; pairs bisects them
+        self._by_x = sorted(enumerate(self.arr), key=lambda r: r[1][0])
+        self._x0 = [row[0] for _, row in self._by_x]
 
     def query(self, box):
         x0, y0, z0, x1, y1, z1 = [float(c) for c in box]
@@ -672,23 +667,22 @@ class BoxIndex:
 
     def pairs(self, other):
         """Every (i, j) with row i of this index overlapping row j of
-        ``other``, sorted: the list of ``other.query(row)`` per row, in one
-        sweep.  Rows are visited by low x; each side keeps the rows seen so
-        far whose high x reaches the current low x, so every overlap in x
-        is met once, by the later of its two rows, and y and z decide it.
+        ``other``, sorted: ``other.query`` of each row, in row order.
+
+        A pair is found once, from the row with the lesser low x (the row
+        here on a tie): row i takes the rows of ``other`` whose low x is
+        in [lo x, hi x] of row i, and row j of ``other`` the rows here
+        whose low x is in (lo x, hi x] of row j.  Both are bisections of
+        the rows sorted by low x; y and z decide.
         """
-        events = sorted([(r[0], 0, i, r) for i, r in enumerate(self.arr)]
-                        + [(r[0], 1, j, r) for j, r in enumerate(other.arr)])
-        active = [[], []]
         out = []
-        for x0, side, i, row in events:
-            _, y0, z0, _, y1, z1 = row
-            live = active[1 - side] = [
-                a for a in active[1 - side] if a[1][3] >= x0]
-            for j, (_, b0, c0, _, b1, c1) in live:
-                if b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0:
-                    out.append((j, i) if side else (i, j))
-            active[side].append((i, row))
+        for rows, scan, first, flip in ((self.arr, other, bisect_left, False),
+                                        (other.arr, self, bisect_right, True)):
+            xs, by_x = scan._x0, scan._by_x
+            for i, (x0, y0, z0, x1, y1, z1) in enumerate(rows):
+                for j, (_, b0, c0, _, b1, c1) in by_x[first(xs, x0):bisect_right(xs, x1)]:
+                    if b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0:
+                        out.append((j, i) if flip else (i, j))
         out.sort()
         return out
 
@@ -701,43 +695,40 @@ def curve_surface_crossings(curve, surface):
     """All transversal pierce events of a PLCurve through a PLSurface,
     as (position, point, sign, triangle index) sorted along the curve.
 
-    The curve is lifted once to (Dc, P) and each triangle's plane (n, k)
-    is taken at its own denominator Dt, so the plane value
-    d = Dt n . P - Dc k of a curve vertex is a positive multiple of the
-    value at the common denominator of segment and triangle: every sign,
-    every parameter d0 / (d0 - d1) and every point class is that one's.
+    Candidates come from ``curve.index.pairs(surface.index)``, in
+    (segment, triangle) order.  Each segment is lifted on its own two
+    ends to (Dc, (p0, p1)) and each triangle's plane (n, k) is taken at
+    its own denominator Dt, so the plane value d = Dt n . p - Dc k of a
+    segment end is a positive multiple of the value at the common
+    denominator of segment and triangle: every sign, every parameter
+    d0 / (d0 - d1) and every point class is that one's.
     """
-    Dc, P = lift(curve.vertices)
-    m = len(P)
     events = []
-    for si in range(m if curve.closed else m - 1):
-        p0, p1 = P[si], P[(si + 1) % m]
-        box = [min(a, b) / Dc for a, b in zip(p0, p1)]
-        box += [max(a, b) / Dc for a, b in zip(p0, p1)]
-        for ti in surface.index.query(box):
-            Dt, T, _ = surface.lifted[ti]
-            n, k = surface.planes[ti]
-            d0, d1 = Dt * v_dot(n, p0) - Dc * k, Dt * v_dot(n, p1) - Dc * k
-            s0, s1 = sign(d0), sign(d1)
-            if s0 == 0 or s1 == 0:
-                # an endpoint lies on the plane: harmless when outside the
-                # triangle, degenerate when touching it
-                edges = _edge_planes(T, n)
-                for p, s in ((p0, s0), (p1, s1)):
-                    if s == 0 and _where(edges, v_scale(p, Dt), Dc) != "outside":
-                        raise NotGeneric("curve vertex on surface")
-                continue
-            if s0 == s1:
-                continue
-            # 0 < d0 / (d0 - d1) < 1: the pierce is never a segment end
-            X, W = _crossing(p0, p1, d0, d1)
-            where = _where(_edge_planes(T, n), v_scale(X, Dt), W * Dc)
-            if where == "outside":
-                continue
-            if where != "interior":
-                raise NotGeneric("curve crosses a triangle edge of the surface")
-            events.append((si + Q(d0, d0 - d1), _rational((X, W, None), Dc),
-                           1 if s0 < 0 else -1, ti))
+    for si, ti in curve.index.pairs(surface.index):
+        Dc, (p0, p1) = curve.lifted[si]
+        Dt, T, _ = surface.lifted[ti]
+        n, k = surface.planes[ti]
+        d0, d1 = Dt * v_dot(n, p0) - Dc * k, Dt * v_dot(n, p1) - Dc * k
+        s0, s1 = sign(d0), sign(d1)
+        if s0 == 0 or s1 == 0:
+            # an endpoint lies on the plane: harmless when outside the
+            # triangle, degenerate when touching it
+            edges = _edge_planes(T, n)
+            for p, s in ((p0, s0), (p1, s1)):
+                if s == 0 and _where(edges, v_scale(p, Dt), Dc) != "outside":
+                    raise NotGeneric("curve vertex on surface")
+            continue
+        if s0 == s1:
+            continue
+        # 0 < d0 / (d0 - d1) < 1: the pierce is never a segment end
+        X, W = _crossing(p0, p1, d0, d1)
+        where = _where(_edge_planes(T, n), v_scale(X, Dt), W * Dc)
+        if where == "outside":
+            continue
+        if where != "interior":
+            raise NotGeneric("curve crosses a triangle edge of the surface")
+        events.append((si + Q(d0, d0 - d1), _rational((X, W, None), Dc),
+                       1 if s0 < 0 else -1, ti))
     events.sort(key=lambda ev: ev[0])
     return events
 

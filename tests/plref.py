@@ -5,12 +5,15 @@ so a test can ask one exact question (a sign, a point class, one
 segment against one triangle) without building a surface.  The edge-hit
 triangle kernel that ``plgeom.triangle_triangle`` replaced lives on here
 as its differential reference, with the segment hits it is built from.
+So do the rational float boxes and the per-row ``check_embedded`` scan
+that ``BoxIndex.pairs`` replaced.
 The seeded braid closures that several test modules run on are made here
 too, so that they are one set.
 """
 
 import random
 
+from masseylink.errors import NotGeneric
 from masseylink.fixtures import braid_closure
 from masseylink.plgeom import (
     EMPTY,
@@ -28,7 +31,9 @@ from masseylink.plgeom import (
     int_triangle,
     lift,
     orient2,
+    shadows_apart,
     tri_normal,
+    triangle_triangle,
     v_add,
     v_cross,
     v_dot,
@@ -205,6 +210,59 @@ def edge_hit_triangle_triangle(t1, t2):
     if _same(lo, hi):
         return ("point", _rational(lo, D))
     return ("segment", (_rational(lo, D), _rational(hi, D)))
+
+
+def rational_triangle_triangle(t1, t2):
+    """``plgeom.triangle_triangle`` of two rational vertex triples, each
+    lifted and given its integer plane as a PLSurface would."""
+    i1, i2 = int_triangle(t1), int_triangle(t2)
+    return triangle_triangle(i1, i2, _plane(i1.verts), _plane(i2.verts))
+
+
+# ---------------------------------------------------------------------------
+# rational boxes and the per-row embedding check
+
+
+def bbox(points):
+    """Exact box (lo x, y, z, hi x, y, z) of rational points."""
+    cols = list(zip(*points))
+    return tuple([min(c) for c in cols] + [max(c) for c in cols])
+
+
+def rational_rows(items):
+    """The BoxIndex rows of point sequences, from ``float`` of each
+    rational corner: what the rows of their lifted forms must equal."""
+    return [tuple(float(c) for c in bbox(it)) for it in items]
+
+
+def check_embedded(surface, cups=None):
+    """``PLSurface.check_embedded`` as one ``BoxIndex.query`` row scan per
+    triangle, the loop that the sweep replaced: it must pass, or raise the
+    same message, on every surface."""
+    idx = surface.index
+    lifted, planes = surface.lifted, surface.planes
+    for i, t1 in enumerate(surface.triangles):
+        cup = cups[i] if cups is not None else None
+        for j in idx.query(idx.arr[i]):
+            if j <= i or (cup is not None and cups[j] == cup):
+                continue
+            if shadows_apart(lifted[i], lifted[j]):
+                continue
+            r = triangle_triangle(lifted[i], lifted[j], planes[i], planes[j])
+            if r[0] == "empty":
+                continue
+            t2 = surface.triangles[j]
+            shared = []
+            for v in t1:
+                if v in t2 and v not in shared:
+                    shared.append(v)
+            if r[0] == "point" and len(shared) >= 1 and r[1] in shared:
+                continue
+            if r[0] == "segment" and len(shared) == 2:
+                a, b = sorted(shared)
+                if tuple(sorted(r[1])) == (a, b):
+                    continue
+            raise NotGeneric("surface self-intersection between %d and %d" % (i, j))
 
 
 # ---------------------------------------------------------------------------

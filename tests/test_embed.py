@@ -40,7 +40,6 @@ from masseylink.embed import (
 from masseylink.errors import NonRealizable, NotGeneric
 from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
 from masseylink.plgeom import (
-    BoxIndex,
     PLCurve,
     PLSurface,
     curve_surface_count,
@@ -48,7 +47,7 @@ from masseylink.plgeom import (
     orient2,
 )
 from masseylink.rational import Q
-from plref import qpoint as P
+from plref import qpoint as P, rational_rows
 
 
 def _euler(surface):
@@ -542,7 +541,7 @@ def test_cup_proof_agrees_with_full_check(case):
 def test_surface_index_matches_rational_boxes(case):
     for e in _embeddings(case):
         for i, surf in e.surfaces.items():
-            assert surf.index.arr == BoxIndex(surf.triangles).arr
+            assert surf.index.arr == rational_rows(surf.triangles)
 
 
 def _ear_clip_unfiltered(poly2, orient):

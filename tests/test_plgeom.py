@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from masseylink import trace
-from masseylink.embed import build_embedding, meridian, pushoff_cycle
-from masseylink.errors import NotGeneric
+from masseylink.embed import _cup_key, build_embedding, meridian, pushoff_cycle, pushoff_run
+from masseylink.errors import NonzeroLinking, NotGeneric
 from masseylink.fixtures import clasp_family, fixture_names, load_fixture
 from masseylink.plgeom import (
     BoxIndex,
     PLCurve,
     PLSurface,
-    _bbox,
     _common,
     _crossing,
     _edge_planes,
@@ -41,10 +40,14 @@ from masseylink.rational import Q
 from masseylink.trace import trace_derived_boundary
 from plref import (
     banded_closures,
+    bbox,
+    check_embedded as ref_check_embedded,
     edge_hit_triangle_triangle,
     orient3,
     point_in_triangle,
     qpoint as P,
+    rational_rows,
+    rational_triangle_triangle,
     seeded_closures,
     segment_triangle,
 )
@@ -122,7 +125,7 @@ def test_segment_triangle_disjoint():
 def test_triangle_triangle_generic_cross():
     t1 = (P(-2, 0, -2), P(2, 0, -2), P(0, 0, 2))
     t2 = (P(0, -2, -1), P(0, 2, -1), P(0, 0, 3))
-    r = triangle_triangle(t1, t2)
+    r = rational_triangle_triangle(t1, t2)
     assert r[0] == "segment"
     for p in r[1]:
         assert p[0] == 0 and p[1] == 0
@@ -131,28 +134,28 @@ def test_triangle_triangle_generic_cross():
 def test_triangle_triangle_shared_vertex_only():
     t1 = (P(0, 0, 0), P(2, 0, 0), P(0, 2, 0))
     t2 = (P(0, 0, 0), P(-2, 0, 1), P(0, -2, 1))
-    r = triangle_triangle(t1, t2)
+    r = rational_triangle_triangle(t1, t2)
     assert r == ("point", P(0, 0, 0))
 
 
 def test_triangle_triangle_parallel_disjoint():
     t1 = (P(0, 0, 0), P(1, 0, 0), P(0, 1, 0))
     t2 = (P(0, 0, 1), P(1, 0, 1), P(0, 1, 1))
-    assert triangle_triangle(t1, t2) == ("empty",)
+    assert rational_triangle_triangle(t1, t2) == ("empty",)
 
 
 def test_triangle_triangle_symmetric_support():
     t1 = (P(-2, 0, -2), P(2, 0, -2), P(0, 0, 2))
     t2 = (P(0, -2, -1), P(0, 2, -1), P(0, 0, 3))
-    r12 = triangle_triangle(t1, t2)
-    r21 = triangle_triangle(t2, t1)
+    r12 = rational_triangle_triangle(t1, t2)
+    r21 = rational_triangle_triangle(t2, t1)
     assert sorted(r12[1]) == sorted(r21[1])
 
 
 def test_triangle_triangle_coplanar_overlap_reported():
     t1 = (P(0, 0, 0), P(4, 0, 0), P(0, 4, 0))
     t2 = (P(1, 1, 0), P(5, 1, 0), P(1, 5, 0))
-    assert triangle_triangle(t1, t2)[0] == "polygon"
+    assert rational_triangle_triangle(t1, t2)[0] == "polygon"
 
 
 # -- curve-surface counts ----------------------------------------------------
@@ -208,7 +211,7 @@ def _ref_segment_crossings(seg, surface):
     common denominator of segment and triangle (the per-segment kernel
     curve_surface_crossings replaced)."""
     Ds, S = lift(seg)
-    for ti in surface.index.query(_bbox(seg)):
+    for ti in surface.index.query(bbox(seg)):
         Dt, T, _ = surface.lifted[ti]
         D, (p0, p1), T = _common(Ds, S, Dt, T)
         n, k = _plane(T)
@@ -247,25 +250,40 @@ def _crossings_or_error(fn, curve, surface):
         return "NotGeneric: %s" % exc
 
 
+def _traced_curves(e):
+    """Every traced loop of every ordered pair of zero linking number, and
+    the open pushoff of every run of a loop along a component."""
+    curves = []
+    for a, b in permutations(sorted(e.curves), 2):
+        try:
+            db = trace_derived_boundary(e, a, b)
+        except (NonzeroLinking, NotGeneric):
+            continue
+        curves += db.loop_curves()
+        curves += [PLCurve(pushoff_run(piece.points, e.tube_radius), closed=False)
+                   for loop in db.loops for piece in loop if piece.kind == "along"]
+    return curves
+
+
+@lru_cache(maxsize=None)
 def _kernel_cases():
-    """(name, curves, surfaces) for the crossing-kernel differential."""
-    for name in fixture_names():
-        e = build_embedding(load_fixture(name))
-        yield name, list(e.curves.values()), list(e.surfaces.values())
-    for k in (1, 2, 3):
-        e = build_embedding(clasp_family(k))
+    """(name, curves, surfaces) for the crossing-kernel differential: the
+    inputs of ``_surface_cases`` with their component curves, pushoffs,
+    meridians and traced curves."""
+    out = []
+    for name, e in _surface_cases():
         curves = []
         for i, c in e.curves.items():
             curves += [c, pushoff_cycle(c, e.tube_radius), meridian(e, i)]
-        for a, b in ((1, 2), (2, 3), (3, 1), (2, 1)):
-            curves += trace_derived_boundary(e, a, b).loop_curves()
-        yield "clasp_family(%d)" % k, curves, list(e.surfaces.values())
+        out.append((name, curves + _traced_curves(e), list(e.surfaces.values())))
+    return out
 
 
 def test_curve_surface_crossings_match_per_segment_reference():
-    events = raised = 0
+    events = raised = open_curves = 0
     for name, curves, surfaces in _kernel_cases():
         for ci, curve in enumerate(curves):
+            open_curves += not curve.closed
             for si, surf in enumerate(surfaces):
                 want = _crossings_or_error(_ref_curve_surface_crossings, curve, surf)
                 got = _crossings_or_error(curve_surface_crossings, curve, surf)
@@ -275,6 +293,15 @@ def test_curve_surface_crossings_match_per_segment_reference():
                 else:
                     events += len(want)
     assert events > 0 and raised > 0
+    assert open_curves > 0
+
+
+def test_curve_rows_are_the_rational_segment_boxes():
+    # locate skips a segment by its row, so each row must be the float of
+    # the segment's rational box, whatever denominator it was lifted to
+    for name, curves, _ in _kernel_cases():
+        for ci, curve in enumerate(curves):
+            assert curve.index.arr == rational_rows(curve.segments()), (name, ci)
 
 
 @pytest.mark.parametrize("curve, message", [
@@ -339,17 +366,61 @@ def test_check_embedded_skips_pairs_within_one_cup():
             s.check_embedded(cups=cups)
 
 
+def test_check_embedded_matches_per_row_scan():
+    # the sweep reports what the per-row scan reports, on every surface
+    # with and without its cup keys, and on the union of two surfaces of
+    # one input, where the first crossing pair found names the message
+    def outcome(check, surface, cups=None):
+        try:
+            check(surface, cups)
+        except NotGeneric as exc:
+            return str(exc)
+
+    raised = 0
+    for name, e in _surface_cases():
+        for i, F in e.surfaces.items():
+            for cups in (None, [_cup_key(tag) for tag in e.provenance[i]]):
+                want = outcome(ref_check_embedded, F, cups)
+                assert outcome(PLSurface.check_embedded, F, cups) == want, (name, i)
+        if len(e.surfaces) > 1:
+            F1, F2 = e.surfaces[1], e.surfaces[2]
+            both = PLSurface(F1.triangles + F2.triangles)
+            want = outcome(ref_check_embedded, both)
+            assert outcome(PLSurface.check_embedded, both) == want, name
+            raised += want is not None
+    assert raised > 0
+
+
+def test_check_embedded_reports_the_first_crossing_pair():
+    # triangles 1 and 2 cross at low x, triangles 0 and 3 at high x, and
+    # row 3 starts left of row 0: the pair first in (i, j) order is
+    # reported, not the one the sweep meets first
+    def crossing(x):
+        return ((P(x, 0, 0), P(x + 4, 0, 0), P(x, 4, 0)),
+                (P(x + 1, 1, -1), P(x + 1, 1, 1), P(x + 2, -3, 0)))
+
+    (a, b), (c, d) = crossing(100), crossing(0)
+    s = PLSurface([b, c, d, a])
+    message = "surface self-intersection between 0 and 3"
+    for check in (PLSurface.check_embedded, ref_check_embedded):
+        with pytest.raises(NotGeneric, match=message):
+            check(s)
+
+
 def test_box_index_padding_never_misses():
     disk = _disk()
-    idx = BoxIndex(disk.triangles)
-    assert set(idx.query(_bbox([v for t in disk.triangles for v in t]))) == {0, 1}
+    idx = BoxIndex(disk.lifted)
+    assert set(idx.query(bbox([v for t in disk.triangles for v in t]))) == {0, 1}
 
 
 def _exact_overlap(b1, b2):
     return all(b1[t] <= b2[t + 3] and b2[t] <= b1[t + 3] for t in range(3))
 
 
-def test_box_index_query_matches_exact_overlap():
+def _overlap_items():
+    """Box items (lo, hi) as two rational points: ``small`` on dyadic
+    coordinates that floats hold exactly, ``big`` near 2**60, with ties
+    and gaps of 2**-100 that floats round away."""
     rng = random.Random(5027)
 
     def box(base, dens):
@@ -374,8 +445,13 @@ def test_box_index_query_matches_exact_overlap():
         (P(far - 1, far, far), P(far + tiny, far, far)),  # overlaps by 2**-100
         (P(far + tiny, far, far), P(far + tiny, far + 1, far + 1)),  # touches
     ]
+    return small, big
+
+
+def test_box_index_query_matches_exact_overlap():
+    small, big = _overlap_items()
     for items, exact_in_float in ((small, True), (big, False)):
-        idx = BoxIndex(items)
+        idx = BoxIndex([lift(it) for it in items])
         for q in items:
             qbox = (*q[0], *q[1])
             exact = {i for i, it in enumerate(items) if _exact_overlap((*it[0], *it[1]), qbox)}
@@ -409,13 +485,21 @@ def test_box_pairs_match_queries_on_synthetic_rows():
         (P(0, 0, 2), P(0, 0, 2)),       # a point
         (P(1, 1, 0), P(1, 1, 5)),       # zero width in x and y
     ]
+    def index(items):
+        return BoxIndex([lift(it) for it in items])
+
     for _ in range(40):
-        a = BoxIndex([box() for _ in range(rng.randint(0, 30))] + touching[:rng.randint(0, 6)])
-        b = BoxIndex([box() for _ in range(rng.randint(0, 30))] + touching[rng.randint(0, 6):])
+        a = index([box() for _ in range(rng.randint(0, 30))] + touching[:rng.randint(0, 6)])
+        b = index([box() for _ in range(rng.randint(0, 30))] + touching[rng.randint(0, 6):])
         for x, y in ((a, b), (b, a), (a, a)):
             assert x.pairs(y) == _query_pairs(x, y)
-    t = BoxIndex(touching)
-    assert t.pairs(BoxIndex([])) == [] and BoxIndex([]).pairs(t) == []
+    # the float ties and near misses of the exact-overlap items
+    small, big = (index(items) for items in _overlap_items())
+    for x, y in ((small, small), (big, big), (small, big), (big, small)):
+        assert x.pairs(y) == _query_pairs(x, y)
+    assert big.pairs(big) != [(i, i) for i in range(len(big.arr))]
+    t = index(touching)
+    assert t.pairs(index([])) == [] and index([]).pairs(t) == []
     own = t.pairs(t)
     assert (0, 1) in own and (0, 2) in own and (0, 3) not in own
 
@@ -444,7 +528,8 @@ def test_shadows_apart_drops_most_empty_surface_pairs():
         empty = dropped = 0
         for i, j in Fa.index.pairs(Fb.index):
             apart = shadows_apart(Fa.lifted[i], Fb.lifted[j])
-            if triangle_triangle(Fa.lifted[i], Fb.lifted[j])[0] != "empty":
+            r = triangle_triangle(Fa.lifted[i], Fb.lifted[j], Fa.planes[i], Fb.planes[j])
+            if r[0] != "empty":
                 assert not apart, (a, b, i, j)
                 continue
             empty += 1
@@ -845,10 +930,7 @@ def test_triangle_triangle_matches_rational_reference(kind):
         if not (_nondegenerate(t1) and _nondegenerate(t2)):
             continue
         want = _ref_triangle_triangle(t1, t2)
-        assert triangle_triangle(t1, t2) == want, (t1, t2)
-        i1, i2 = int_triangle(t1), int_triangle(t2)
-        assert triangle_triangle(i1, i2) == want
-        assert triangle_triangle(i1, i2, _plane(i1.verts), _plane(i2.verts)) == want
+        assert rational_triangle_triangle(t1, t2) == want, (t1, t2)
         assert edge_hit_triangle_triangle(t1, t2) == want, (t1, t2)
         kinds.add(want[0])
         checked += 1
@@ -868,7 +950,7 @@ def test_triangle_triangle_segments_run_along_the_normal_cross_product():
                 continue
             axis = v_cross(_ref_normal(t1), _ref_normal(t2))
             for axis, (u, v) in ((axis, (t1, t2)), (v_scale(axis, -1), (t2, t1))):
-                r = triangle_triangle(u, v)
+                r = rational_triangle_triangle(u, v)
                 if r[0] != "segment" or axis == (0, 0, 0):
                     continue
                 lo, hi = r[1]
