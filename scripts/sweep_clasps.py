@@ -2,7 +2,8 @@
 """Sweep the Brunnian clasp family: geometric value versus the oracle.
 
 Checks massey3 = -milnor_mu, sign included, in all six orderings; exits 1
-on any mismatch.  Each k prints the build time, every ordering of the first
+on any mismatch.  Each k prints the build time and the process's peak
+resident set so far (``resource.getrusage``), every ordering of the first
 sweep, then the time of that sweep and of a second, warm sweep on the same
 embedding (its intersections and pierces already computed).
 
@@ -10,6 +11,7 @@ Usage: sweep_clasps.py [max_k]   (default 16)
 """
 
 import itertools
+import resource
 import sys
 import time
 
@@ -27,7 +29,10 @@ def main():
         d = clasp_family(k)
         t0 = time.time()
         e = build_embedding(d)
-        print("%3d  %9d  build %.1fs" % (k, len(d.crossings), time.time() - t0))
+        dt = time.time() - t0
+        # ru_maxrss is in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print("%3d  %9d  build %.1fs, peak %.1f MB" % (k, len(d.crossings), dt, peak))
         first = 0.0
         wants = []
         for order in itertools.permutations((1, 2, 3)):

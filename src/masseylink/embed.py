@@ -219,11 +219,7 @@ def _ear_clip(poly2, orient):
     """
     idx = list(range(len(poly2)))
     tris = []
-    guard = 0
     while len(idx) > 3:
-        guard += 1
-        if guard > 4 * len(poly2) * len(poly2):
-            raise NotGeneric("ear clipping stalled")
         n = len(idx)
         clipped = False
         for k in range(n):
@@ -275,7 +271,9 @@ class EmbeddedLink:
     drawing: object
     curves: dict                  # component -> closed PLCurve
     surfaces: dict                # component -> PLSurface
-    provenance: dict              # component -> list of per-triangle tags
+    # component -> per-triangle tags ("wall:c", "disk:c", "band:x"); only
+    # the tests and the benchmark tracer read them
+    provenance: dict
     tube_radius: object
     unit: object
     grid_scale: int = 1
@@ -427,20 +425,20 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
         self_sm = {b.crossing for b in st.bands}
         (steps,) = d.smoothed_cycles(d.component_arcs(i), ())
         curves[i] = PLCurve(_walk(drawing, steps, self_sm, dip, zshift), closed=True)
-        tris = []
-        tags = []
+        tris, tags, cups = [], [], []
         for c in st.circles:
             level = -H * (2 + (maxdepth - c.depth) + Q(i, m + 1)) + zshift
             rim = _walk(drawing, c.pieces, self_sm, dip, zshift)
             t, g = _wall_and_polygon(rim, level)
             tris.extend(t)
             tags.extend("%s:%d" % (tag, c.index) for tag in g)
+            cups.extend([c.index] * len(t))
         for b in st.bands:
             bt = _band_triangles(drawing.stations[b.crossing], dip, zshift)
             tris.extend(bt)
             tags.extend(["band:%d" % b.crossing] * len(bt))
-        surf = PLSurface(tris)
-        surfaces[i] = surf
+            cups.extend([None] * len(bt))
+        surfaces[i] = PLSurface(tris, cups)
         provenance[i] = tags
 
     e = EmbeddedLink(
@@ -486,11 +484,10 @@ def measured(source, measure, grid_scale=1, perturb_index=0):
 def verify_embedding(e):
     """Boundary and embeddedness checks for every component surface.
 
-    The triangles of one cup (a circle's wall and disk, tagged "wall:c"
-    and "disk:c") were proved embedded together when they were built
-    (see _wall_and_polygon), so only the other pairs are checked in
-    exact 3D: band triangles against anything, and cups of different
-    circles against each other.
+    The triangles of one cup (a circle's wall and disk, keyed by the
+    circle's index in ``PLSurface.cups``) were proved embedded together
+    when built (see _wall_and_polygon), so ``check_embedded`` compares the
+    other pairs in exact 3D: bands against anything, and different cups.
     """
     for i, surf in e.surfaces.items():
         loops = surf.boundary_curves()
@@ -498,13 +495,7 @@ def verify_embedding(e):
             raise NotGeneric("surface %d has %d boundary loops" % (i, len(loops)))
         if not _same_cycle(loops[0], e.curves[i]):
             raise NotGeneric("boundary of surface %d is not its curve" % i)
-        surf.check_embedded(cups=[_cup_key(tag) for tag in e.provenance[i]])
-
-
-def _cup_key(tag):
-    """The circle of a "wall:c" or "disk:c" tag; None for a band."""
-    kind, _, c = tag.partition(":")
-    return None if kind == "band" else c
+        surf.check_embedded()
 
 
 def _same_cycle(c1, c2):

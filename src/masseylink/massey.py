@@ -18,8 +18,8 @@ on a provided surface's boundary.
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .embed import measured, pushoff_cycle, pushoff_run
-from .errors import MasseyUndefined
+from .embed import EmbeddedLink, measured, pushoff_cycle, pushoff_run
+from .errors import InputError, MasseyUndefined
 from .plgeom import PLCurve, curve_surface_count
 from .trace import trace_derived_boundary
 
@@ -37,18 +37,18 @@ class MasseyResult:
         return self.term_first + self.term_second
 
 
-def _check_ordering(e, ordering, size):
+def _check_ordering(source, ordering, size):
+    """InputError unless `ordering` names `size` distinct components of
+    the diagram of `source`, MasseyUndefined when two of them link."""
+    d = source.diagram if isinstance(source, EmbeddedLink) else source
     if len(ordering) != size or len(set(ordering)) != size:
-        raise MasseyUndefined("ordering must have %d distinct components" % size)
+        raise InputError("ordering must have %d distinct components" % size)
     for i in ordering:
-        e.diagram._check_component(i)
-    for a in ordering:
-        for b in ordering:
-            if a < b and e.diagram.linking_number(a, b) != 0:
-                raise MasseyUndefined(
-                    "lk(%d,%d) = %d, product undefined"
-                    % (a, b, e.diagram.linking_number(a, b))
-                )
+        d._check_component(i)
+    for a, b in ((a, b) for a in ordering for b in ordering if a < b):
+        lk = d.linking_number(a, b)
+        if lk:
+            raise MasseyUndefined("lk(%d,%d) = %d, product undefined" % (a, b, lk))
 
 
 def first_term(e, db, i):
@@ -93,12 +93,12 @@ def massey3(source, ordering, grid_scale=1, perturb_index=0):
     the embedding it measured.
     """
     ordering = tuple(ordering)
+    _check_ordering(source, ordering, 3)
     return measured(source, lambda e: _massey3_on(e, ordering),
                     grid_scale, perturb_index)[1]
 
 
 def _massey3_on(e, ordering):
-    _check_ordering(e, ordering, 3)
     i, j, k = ordering
     db_jk = trace_derived_boundary(e, j, k)
     db_ij = trace_derived_boundary(e, i, j)
@@ -169,12 +169,12 @@ def massey4(source, ordering, provider=None, grid_scale=1, perturb_index=0):
     degeneracy is retried once by ``embed.measured``.
     """
     ordering = tuple(ordering)
+    _check_ordering(source, ordering, 4)
     return measured(source, lambda e: _massey4_on(e, ordering, provider),
                     grid_scale, perturb_index)[1]
 
 
 def _massey4_on(e, ordering, provider):
-    _check_ordering(e, ordering, 4)
     i, j, k, l = ordering
     for triple in ((i, j, k), (i, j, l), (i, k, l), (j, k, l)):
         r = _massey3_on(e, triple)

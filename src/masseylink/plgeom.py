@@ -7,13 +7,14 @@ degeneracy resolved are expected to perturb their input and retry.
 The triangle kernel decides every sign on integers (see "integer forms").
 
 Every candidate pair (two triangles, or a curve segment and a triangle)
-comes from one sweep over float boxes, ``BoxIndex.pairs``.  A triangle
-pair then meets two more tests: their xy shadows must not be proved
-apart (``shadows_apart``, exact), and only then does the exact kernel
-``triangle_triangle`` cut each triangle by the other's stored plane and
-overlap the two cuts.  Neither filter drops a pair that meets.  The
-kernel orients what it returns: a segment of two triangles whose planes
-are not parallel runs along n1 x n2, the cross product of their normals.
+comes from one sweep over float boxes, ``BoxIndex.pairs``.  In
+``PLSurface.meets`` a triangle pair then passes two more tests: their
+xy shadows must not be proved apart (``shadows_apart``, exact), and only
+then does the exact kernel ``triangle_triangle`` cut each triangle by
+the other's stored plane and overlap the two cuts.  Neither filter drops
+a pair that meets.  The kernel orients what it returns: a segment of
+two triangles whose planes are not parallel runs along n1 x n2, the
+cross product of their normals.
 
 Intersection results are tagged tuples:
   ("empty",)
@@ -271,9 +272,9 @@ def triangle_triangle(t1, t2, plane1, plane2):
     (n, k), n . X = k on the integer vertices: a PLSurface keeps both for
     every triangle, in ``lifted`` and ``planes``.
 
-    Callers reach this kernel third, after the float boxes and the xy
-    shadows of the pair.  It then decides the pair by plane cuts, the
-    interval test of Moller ("A Fast Triangle-Triangle Intersection
+    ``PLSurface.meets`` calls this kernel third, after the float boxes and
+    the xy shadows of the pair.  It then decides the pair by plane cuts,
+    the interval test of Moller ("A Fast Triangle-Triangle Intersection
     Test", JGT 1997) in exact integers.  The side of a vertex of B
     against A's plane is D_A (n_A . B_i) - D_B k_A, a positive multiple
     of the rational one, and likewise for A against B's plane.  All of one
@@ -517,10 +518,13 @@ class PLSurface:
     each triangle, made once here for the exact kernel, ``planes`` its
     integer plane (n, k) at the triangle's own denominator, and ``index``
     the one BoxIndex of the triangles, built from those integer forms.
+    ``cups``, optional, keys each triangle: two with one key other than
+    None are proved embedded together, and ``meets`` skips them.
     """
 
-    def __init__(self, triangles):
+    def __init__(self, triangles, cups=None):
         self.triangles = [tuple(_qvertex(v) for v in t) for t in triangles]
+        self.cups = cups
         self.lifted = [int_triangle(t) for t in self.triangles]
         self.planes = [_plane(it.verts) for it in self.lifted]
         self.index = BoxIndex(self.lifted)
@@ -553,25 +557,27 @@ class PLSurface:
         # so they stitch into loops only
         return [PLCurve(loop, closed=True) for loop in stitch(self.validate())[1]]
 
-    def check_embedded(self, cups=None):
-        """Exact self-intersection check.
+    def meets(self, other=None):
+        """Yield (i, j, r), in (i, j) order, for each triangle i here and j
+        of ``other`` that meet: boxes, then ``shadows_apart``, then the
+        kernel, whose non-empty result is r.  With no ``other``, this
+        surface's own pairs, i < j, less those within one cup."""
+        G, cups = (self, self.cups) if other is None else (other, None)
+        A, B = self.lifted, G.lifted
+        for i, j in self.index.pairs(None if other is None else G.index):
+            if cups is not None and cups[i] is not None and cups[i] == cups[j]:
+                continue
+            if shadows_apart(A[i], B[j]):
+                continue
+            r = triangle_triangle(A[i], B[j], self.planes[i], G.planes[j])
+            if r[0] != "empty":
+                yield i, j, r
 
-        Triangles may share vertices/edges (mesh adjacency); any other
-        contact raises NotGeneric.  ``cups`` is an optional per-triangle
-        key: two triangles with the same key other than None are taken as
-        already proved embedded together and are not compared.
-        """
-        idx = self.index
-        lifted, planes = self.lifted, self.planes
-        for i, j in idx.pairs(idx):
-            cup = cups[i] if cups is not None else None
-            if j <= i or (cup is not None and cups[j] == cup):
-                continue
-            if shadows_apart(lifted[i], lifted[j]):
-                continue
-            r = triangle_triangle(lifted[i], lifted[j], planes[i], planes[j])
-            if r[0] == "empty":
-                continue
+    def check_embedded(self):
+        """Exact self-intersection check over ``meets()``: triangles may
+        share vertices/edges (mesh adjacency); any other contact raises
+        NotGeneric, for the first such pair in (i, j) order."""
+        for i, j, r in self.meets():
             # distinct common vertices, compared without hashing
             t1, t2 = self.triangles[i], self.triangles[j]
             shared = []
@@ -643,13 +649,12 @@ class BoxIndex:
     ``arr`` holds one float row (lo x, y, z, hi x, y, z) per item, in item
     order.  ``pairs`` is the one way the package finds candidate pairs;
     ``query``, a scan of every row against one box, is the reference it
-    must equal.  No pair whose exact boxes overlap is missed, at any
-    scale: min(ints) / D is one correctly rounded int/int division, the
-    ``float`` of the rational corner, so it is monotone and exact
-    ``lo <= hi`` implies ``float(lo) <= float(hi)``.  Rounding can only
-    add candidates, and callers confirm every candidate exactly.  A
-    triangle pair goes on to ``shadows_apart``, the exact xy-shadow
-    reject, and only then to ``triangle_triangle``.
+    must equal, and ``PLSurface.meets`` takes its triangle pairs from it.
+    No pair whose exact boxes overlap is missed, at any scale: min(ints) /
+    D is one correctly rounded int/int division, the ``float`` of the
+    rational corner, so it is monotone and exact ``lo <= hi`` implies
+    ``float(lo) <= float(hi)``.  Rounding can only add candidates, and
+    callers confirm every candidate exactly.
     """
 
     def __init__(self, items):
@@ -665,17 +670,27 @@ class BoxIndex:
             if a0 <= x1 and a1 >= x0 and b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0
         ]
 
-    def pairs(self, other):
+    def pairs(self, other=None):
         """Every (i, j) with row i of this index overlapping row j of
         ``other``, sorted: ``other.query`` of each row, in row order.
+        With no ``other``, the pairs of this index's own rows with i < j.
 
         A pair is found once, from the row with the lesser low x (the row
         here on a tie): row i takes the rows of ``other`` whose low x is
         in [lo x, hi x] of row i, and row j of ``other`` the rows here
         whose low x is in (lo x, hi x] of row j.  Both are bisections of
-        the rows sorted by low x; y and z decide.
+        the rows sorted by low x; y and z decide.  Within one index, the
+        row at sorted place p takes the later rows up to its high x.
         """
         out = []
+        if other is None:
+            xs, by_x = self._x0, self._by_x
+            for p, (i, (_, y0, z0, x1, y1, z1)) in enumerate(by_x):
+                for j, (_, b0, c0, _, b1, c1) in by_x[p + 1:bisect_right(xs, x1)]:
+                    if b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0:
+                        out.append((i, j) if i < j else (j, i))
+            out.sort()
+            return out
         for rows, scan, first, flip in ((self.arr, other, bisect_left, False),
                                         (other.arr, self, bisect_right, True)):
             xs, by_x = scan._x0, scan._by_x

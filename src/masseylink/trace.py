@@ -25,9 +25,7 @@ from .plgeom import (
     PLCurve,
     curve_surface_crossings,
     point_key,
-    shadows_apart,
     stitch,
-    triangle_triangle,
     v_cross,
 )
 
@@ -80,22 +78,17 @@ class DerivedBoundary:
 def surface_intersection(F_a, F_b):
     """Connected oriented components of the point set F_a meet F_b.
 
-    Arcs come first, then circles, each in the order of ``stitch``.
-    Points are keyed on the integers of ``point_key`` and compared as
-    rationals only to order the output.  Each segment is oriented by the
-    contract of ``triangle_triangle``: from triangles whose planes are not
-    parallel it runs along n_a x n_b, so a witness pair says +1 when its
-    segment is in key order and -1 when not, and every witness of one
-    segment must say the same.
+    Segments come from the triangle pairs of ``F_a.meets(F_b)``.  Arcs
+    come first, then circles, each in the order of ``stitch``.  Points are
+    keyed on the integers of ``point_key``, compared as rationals only to
+    order the output.  Each segment is oriented by the contract of
+    ``triangle_triangle``: from triangles whose planes are not parallel it
+    runs along n_a x n_b, so a witness pair says +1 when its segment is in
+    key order and -1 when not, and every witness of one segment must say
+    the same.
     """
     segs = {}   # unordered key pair -> [p, q in key order, witnesses]
-    for ia, ib in F_a.index.pairs(F_b.index):
-        ta, tb = F_a.lifted[ia], F_b.lifted[ib]
-        if shadows_apart(ta, tb):
-            continue
-        r = triangle_triangle(ta, tb, F_a.planes[ia], F_b.planes[ib])
-        if r[0] == "empty":
-            continue
+    for ia, ib, r in F_a.meets(F_b):
         if r[0] == "polygon":
             raise NotGeneric("overlapping coplanar triangles")
         if r[0] == "point":

@@ -5,8 +5,8 @@ so a test can ask one exact question (a sign, a point class, one
 segment against one triangle) without building a surface.  The edge-hit
 triangle kernel that ``plgeom.triangle_triangle`` replaced lives on here
 as its differential reference, with the segment hits it is built from.
-So do the rational float boxes and the per-row ``check_embedded`` scan
-that ``BoxIndex.pairs`` replaced.
+So do the rational float boxes and the per-row ``check_embedded`` and
+``meets`` scans that ``BoxIndex.pairs`` replaced.
 The seeded braid closures that several test modules run on are made here
 too, so that they are one set.
 """
@@ -235,12 +235,34 @@ def rational_rows(items):
     return [tuple(float(c) for c in bbox(it)) for it in items]
 
 
-def check_embedded(surface, cups=None):
+def meets(surface, other=None):
+    """``PLSurface.meets`` as one ``BoxIndex.query`` row scan per triangle
+    of ``surface``, then the shadow reject, then the kernel, as a list."""
+    G = surface if other is None else other
+    cups = surface.cups if other is None else None
+    out = []
+    for i, row in enumerate(surface.index.arr):
+        for j in G.index.query(row):
+            if other is None and j <= i:
+                continue
+            if cups is not None and cups[i] is not None and cups[i] == cups[j]:
+                continue
+            t1, t2 = surface.lifted[i], G.lifted[j]
+            if shadows_apart(t1, t2):
+                continue
+            r = triangle_triangle(t1, t2, surface.planes[i], G.planes[j])
+            if r[0] != "empty":
+                out.append((i, j, r))
+    return out
+
+
+def check_embedded(surface):
     """``PLSurface.check_embedded`` as one ``BoxIndex.query`` row scan per
-    triangle, the loop that the sweep replaced: it must pass, or raise the
-    same message, on every surface."""
+    triangle, the loop that the sweep replaced, skipping pairs within one
+    of ``surface.cups``: it must pass, or raise the same message, on every
+    surface."""
     idx = surface.index
-    lifted, planes = surface.lifted, surface.planes
+    lifted, planes, cups = surface.lifted, surface.planes, surface.cups
     for i, t1 in enumerate(surface.triangles):
         cup = cups[i] if cups is not None else None
         for j in idx.query(idx.arr[i]):

@@ -46,6 +46,26 @@ def test_massey3_undefined_exit_code(capsys):
     assert doc is None  # no partial JSON on failure
 
 
+@pytest.mark.parametrize("argv", [
+    ["massey3", "--order", "1,2,2"],
+    ["massey4", "--order", "1,2,3,3"],
+    ["milnor", "--indices", "1,1,2"],
+    ["trace", "--pair", "2,2"],
+])
+def test_repeated_component_is_an_input_error(argv, capsys, monkeypatch):
+    if argv[0] != "trace":
+        # a Massey ordering is checked on the diagram, before any build
+        def no_build(*args, **kwargs):
+            raise AssertionError("built an embedding")
+
+        monkeypatch.setattr(embed, "build_embedding", no_build)
+    code = main(argv + ["--fixture", "borromean"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 def test_malformed_input_exit_code(capsys):
     code, doc = _run(capsys, "lk", "--pd", "not a code")
     assert code == 1

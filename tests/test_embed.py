@@ -530,11 +530,15 @@ def _embeddings(case):
 @pytest.mark.parametrize("case", _EMBEDDING_CASES)
 def test_cup_proof_agrees_with_full_check(case):
     # build_embedding ran verify_embedding, which skips pairs inside one
-    # cup; the full check compares every box-overlapping pair in 3D
+    # cup; the full check, on the triangles without their cup keys,
+    # compares every box-overlapping pair in 3D
     for e in _embeddings(case):
         verify_embedding(e)
-        for surf in e.surfaces.values():
-            surf.check_embedded()
+        for i, surf in e.surfaces.items():
+            # the cup key of a wall or disk triangle is its circle's index
+            kinds = [tag.partition(":") for tag in e.provenance[i]]
+            assert surf.cups == [None if kind == "band" else int(c) for kind, _, c in kinds]
+            PLSurface(surf.triangles).check_embedded()
 
 
 @pytest.mark.parametrize("case", _EMBEDDING_CASES)
@@ -616,7 +620,8 @@ def test_band_through_a_disk_is_still_caught():
     w = (v[0], v[1], deepest - e.unit)
     bad = dataclasses.replace(
         e,
-        surfaces={1: PLSurface([[w if p == v else p for p in t] for t in surf.triangles])},
+        surfaces={1: PLSurface([[w if p == v else p for p in t] for t in surf.triangles],
+                               surf.cups)},
         curves={1: PLCurve([w if p == v else p for p in e.curves[1].vertices])},
     )
     with pytest.raises(NotGeneric, match="self-intersection") as err:

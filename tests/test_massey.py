@@ -13,7 +13,7 @@ from masseylink.embed import (
     pushoff_cycle,
     pushoff_run,
 )
-from masseylink.errors import MasseyUndefined
+from masseylink.errors import InputError, MasseyUndefined
 from masseylink.fixtures import (
     braid_closure,
     braid_closure_pd,
@@ -73,7 +73,7 @@ def test_undefined_for_nonzero_linking():
 
 
 def test_bad_ordering_rejected(e_borromean):
-    with pytest.raises(MasseyUndefined):
+    with pytest.raises(InputError):
         massey3(e_borromean, (1, 1, 2))
 
 

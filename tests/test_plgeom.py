@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from masseylink import trace
-from masseylink.embed import _cup_key, build_embedding, meridian, pushoff_cycle, pushoff_run
+from masseylink.embed import build_embedding, meridian, pushoff_cycle, pushoff_run
 from masseylink.errors import NonzeroLinking, NotGeneric
 from masseylink.fixtures import clasp_family, fixture_names, load_fixture
 from masseylink.plgeom import (
@@ -43,6 +43,7 @@ from plref import (
     bbox,
     check_embedded as ref_check_embedded,
     edge_hit_triangle_triangle,
+    meets as ref_meets,
     orient3,
     point_in_triangle,
     qpoint as P,
@@ -359,29 +360,28 @@ def test_check_embedded_skips_pairs_within_one_cup():
     # two crossing triangles: compared unless they carry one non-None key
     t1 = (P(0, 0, 0), P(4, 0, 0), P(0, 4, 0))
     t2 = (P(1, 1, -1), P(1, 1, 1), P(2, -3, 0))
-    s = PLSurface([t1, t2])
-    s.check_embedded(cups=["c", "c"])
+    PLSurface([t1, t2], cups=["c", "c"]).check_embedded()
     for cups in (None, ["c", "d"], [None, None], ["c", None]):
         with pytest.raises(NotGeneric):
-            s.check_embedded(cups=cups)
+            PLSurface([t1, t2], cups=cups).check_embedded()
 
 
 def test_check_embedded_matches_per_row_scan():
     # the sweep reports what the per-row scan reports, on every surface
     # with and without its cup keys, and on the union of two surfaces of
     # one input, where the first crossing pair found names the message
-    def outcome(check, surface, cups=None):
+    def outcome(check, surface):
         try:
-            check(surface, cups)
+            check(surface)
         except NotGeneric as exc:
             return str(exc)
 
     raised = 0
     for name, e in _surface_cases():
         for i, F in e.surfaces.items():
-            for cups in (None, [_cup_key(tag) for tag in e.provenance[i]]):
-                want = outcome(ref_check_embedded, F, cups)
-                assert outcome(PLSurface.check_embedded, F, cups) == want, (name, i)
+            for G in (F, PLSurface(F.triangles)):
+                want = outcome(ref_check_embedded, G)
+                assert outcome(PLSurface.check_embedded, G) == want, (name, i)
         if len(e.surfaces) > 1:
             F1, F2 = e.surfaces[1], e.surfaces[2]
             both = PLSurface(F1.triangles + F2.triangles)
@@ -467,6 +467,11 @@ def _query_pairs(idx, other):
     return [(i, j) for i, row in enumerate(idx.arr) for j in other.query(row)]
 
 
+def _own_query_pairs(idx):
+    """The i < j part of the per-row query list of an index with itself."""
+    return [(i, j) for i, j in _query_pairs(idx, idx) if i < j]
+
+
 def test_box_pairs_match_queries_on_synthetic_rows():
     # coordinates on a 5-point grid: low x ties, boxes that touch in one
     # coordinate (overlapping or apart in the others) and zero-width rows
@@ -493,15 +498,25 @@ def test_box_pairs_match_queries_on_synthetic_rows():
         b = index([box() for _ in range(rng.randint(0, 30))] + touching[rng.randint(0, 6):])
         for x, y in ((a, b), (b, a), (a, a)):
             assert x.pairs(y) == _query_pairs(x, y)
+        for x in (a, b):
+            assert x.pairs() == _own_query_pairs(x)
     # the float ties and near misses of the exact-overlap items
     small, big = (index(items) for items in _overlap_items())
     for x, y in ((small, small), (big, big), (small, big), (big, small)):
         assert x.pairs(y) == _query_pairs(x, y)
     assert big.pairs(big) != [(i, i) for i in range(len(big.arr))]
+    assert small.pairs() == _own_query_pairs(small) != []
+    assert big.pairs() == _own_query_pairs(big) != []
     t = index(touching)
     assert t.pairs(index([])) == [] and index([]).pairs(t) == []
     own = t.pairs(t)
     assert (0, 1) in own and (0, 2) in own and (0, 3) not in own
+    # within one index: i < j only, with identical rows and low x ties
+    assert t.pairs() == _own_query_pairs(t) == [(i, j) for i, j in own if i < j]
+    twins = index(touching[:1] * 3 + touching)
+    assert twins.pairs() == _own_query_pairs(twins)
+    assert {(0, 1), (0, 2), (1, 2)} <= set(twins.pairs())
+    assert index(touching[:1]).pairs() == [] and index([]).pairs() == []
 
 
 def test_shadows_apart_on_a_vertical_wall():
@@ -535,6 +550,33 @@ def test_shadows_apart_drops_most_empty_surface_pairs():
             empty += 1
             dropped += apart
         assert dropped >= 0.9 * empty, (a, b, dropped, empty)
+
+
+def test_meets_matches_query_scan():
+    # every surface's own pairs, with and without its cup keys, and every
+    # ordered pair of two surfaces of one input: the contacts the sweep
+    # yields are those of the per-row query scan
+    counts = Counter()
+    for name, e in _surface_cases():
+        for a, F in e.surfaces.items():
+            for G, cups in ((F, True), (PLSurface(F.triangles), False)):
+                want = ref_meets(G)
+                assert list(G.meets()) == want, (name, a, cups)
+                counts[cups] += len(want)
+            for b, Fb in e.surfaces.items():
+                if b != a:
+                    want = ref_meets(F, Fb)
+                    assert list(F.meets(Fb)) == want, (name, a, b)
+                    counts["across"] += len(want)
+    assert counts[False] > counts[True] > 0 and counts["across"] > 0
+    # a surface given as the other one is compared in every ordered pair,
+    # each triangle with itself and within one cup too
+    t1 = (P(0, 0, 0), P(4, 0, 0), P(0, 4, 0))
+    t2 = (P(1, 1, -1), P(1, 1, 1), P(2, -3, 0))
+    s = PLSurface([t1, t2], cups=["c", "c"])
+    assert list(s.meets()) == []
+    assert [(i, j) for i, j, _ in s.meets(s)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(s.meets(s)) == ref_meets(s, s)
 
 
 @lru_cache(maxsize=None)
