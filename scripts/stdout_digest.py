@@ -8,13 +8,15 @@ tests/test_massey.py::test_random_zero_linking_closures_match_oracle, and
 `milnor` in all six orders on those of them with three components.
 Every `massey3` and `trace` run also writes --dump-geometry and
 --dump-trace files.  Then it runs `massey4 --fixture unlink4 --order
-1,2,3,4`, `fixtures` and `chains-verify` on each complex at the default
-cases (about 6 s).  The hash covers each command line, exit code, stdout
-and dump file, in that order, with temporary paths reduced to their base
-names; stderr is not hashed.  A command that argparse rejects is hashed
-with the code of its SystemExit, and the run goes on.  The package is
-imported from <repo>/src, so two checkouts print equal digests exactly
-when their outputs agree.
+1,2,3,4`, `fixtures`, the refusals of a repeated component (`trace
+--pair 2,2`, `massey3 --order 1,2,2` and `milnor --indices 1,1,2` on
+borromean, `massey4 --order 1,2,3,3` on unlink4) and `chains-verify` on
+each complex at the default cases (about 6 s).  The hash covers each
+command line, exit code, stdout and dump file, in that order, with
+temporary paths reduced to their base names; stderr is not hashed.  A
+command that argparse rejects is hashed with the code of its SystemExit,
+and the run goes on.  The package is imported from <repo>/src, so two
+checkouts print equal digests exactly when their outputs agree.
 
 Usage: stdout_digest.py [repo]   (default: the repository of this script)
 """
@@ -87,7 +89,11 @@ def main():
         argvs = [argv for source, d in sources
                  for argv in _commands(source, d.n_components, tmp)]
         argvs += [["massey4", "--fixture", "unlink4", "--order", "1,2,3,4"],
-                  ["fixtures"]]
+                  ["fixtures"],
+                  ["trace", "--fixture", "borromean", "--pair", "2,2"],
+                  ["massey3", "--fixture", "borromean", "--order", "1,2,2"],
+                  ["milnor", "--fixture", "borromean", "--indices", "1,1,2"],
+                  ["massey4", "--fixture", "unlink4", "--order", "1,2,3,3"]]
         argvs += [["chains-verify", "--complex", name] for name in sorted(COMPLEXES)]
         for argv in argvs:
             out = io.StringIO()

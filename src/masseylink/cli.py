@@ -148,7 +148,9 @@ def _cmd_seifert(args):
 
 def _cmd_trace(args):
     d = _load_diagram(args)
-    a, b = _parse_ints(args.pair, 2)
+    pair = _parse_ints(args.pair)
+    d.check_unlinked(pair, 2)
+    a, b = pair
     e, db = measured(d, lambda e: trace_derived_boundary(e, a, b),
                      args.grid_scale, args.seed)
     _maybe_dumps(args, e, [db])
@@ -160,7 +162,7 @@ def _cmd_trace(args):
 
 def _cmd_massey3(args):
     d = _load_diagram(args)
-    order = _parse_ints(args.order, 3)
+    order = _parse_ints(args.order)
     r = massey3(d, order, grid_scale=args.grid_scale, perturb_index=args.seed)
     _maybe_dumps(args, r.embedding, list(r.trace_refs.values()))
     _emit(
@@ -177,7 +179,7 @@ def _cmd_massey3(args):
 
 def _cmd_massey4(args):
     d = _load_diagram(args)
-    order = _parse_ints(args.order, 4)
+    order = _parse_ints(args.order)
     plan = massey4(d, order, grid_scale=args.grid_scale, perturb_index=args.seed)
     _emit(
         {
@@ -195,7 +197,7 @@ def _cmd_massey4(args):
 
 def _cmd_milnor(args):
     d = _load_diagram(args)
-    idx = _parse_ints(args.indices, 3)
+    idx = _parse_ints(args.indices)
     _emit(
         {
             "command": "milnor",
@@ -220,14 +222,13 @@ def _cmd_fixtures(args):
     return 0
 
 
-def _parse_ints(text, count):
+def _parse_ints(text):
+    """Comma-separated integers; their count is checked by the command's
+    ``LinkDiagram.check_unlinked``."""
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise InputError("expected %d comma-separated integers" % count)
-    if len(parts) != count:
-        raise InputError("expected %d comma-separated integers" % count)
-    return parts
+        raise InputError("expected comma-separated integers")
 
 
 def build_parser():

@@ -1,4 +1,5 @@
-"""Oriented link diagrams: PD and Gauss code parsing, signs, linking numbers.
+"""Oriented link diagrams: PD and Gauss code parsing, signs, linking numbers,
+and the component gate of every invariant defined on unlinked components.
 
 Conventions (documented in the README and relied on by every module
 downstream):
@@ -17,8 +18,10 @@ downstream):
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .errors import InconsistentDiagram, MalformedCode, UnknownComponent
+from .errors import (
+    InconsistentDiagram, InputError, MalformedCode, NonzeroLinking, UnknownComponent)
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,24 @@ class LinkDiagram:
                 v = self.linking_number(a, b)
                 mat[a - 1][b - 1] = mat[b - 1][a - 1] = v
         return mat
+
+    def check_unlinked(self, components, size):
+        """Admit `components` to an invariant defined only on unlinked tuples.
+
+        Checked in this order, so that bad input is reported before an
+        undefined invariant: InputError unless they are `size` distinct
+        entries, UnknownComponent unless each is a component of the
+        diagram, NonzeroLinking for the first pair, in the order given,
+        with nonzero linking number.
+        """
+        if len(components) != size or len(set(components)) != size:
+            raise InputError("expected %d distinct components" % size)
+        for i in components:
+            self._check_component(i)
+        for a, b in combinations(components, 2):
+            lk = self.linking_number(a, b)
+            if lk:
+                raise NonzeroLinking("lk(%d,%d) = %d" % (a, b, lk))
 
     # -- serialisation ----------------------------------------------------
 
@@ -364,7 +385,31 @@ def build_diagram(tuples, declared_components=None, comment=""):
 
 
 # ---------------------------------------------------------------------------
-# Gauss codes
+# Gauss codes and crossing visits
+
+
+def pd_from_visits(components):
+    """PD tuples, in key order, of the crossings visited by `components`.
+
+    Each component lists its visits (crossing key, "O" or "U", sign) in
+    travel order, and every key is visited once over and once under.  Arcs
+    are numbered along each component in turn: the arc after a
+    component's j-th visit carries its j-th label, so labels increase with
+    travel and wrap at the component's last.
+    """
+    ends, signs = {}, {}   # (key, role) -> (in arc, out arc); key -> sign
+    arc = 1
+    for visits in components:
+        k = len(visits)
+        for j, (key, role, sign) in enumerate(visits):
+            ends[key, role] = (arc + (j - 1) % k, arc + j)
+            signs[key] = sign
+        arc += k
+    tuples = []
+    for key in sorted(signs):
+        (ui, uo), (oi, oo) = ends[key, "U"], ends[key, "O"]
+        tuples.append((ui, oo, uo, oi) if signs[key] > 0 else (ui, oi, uo, oo))
+    return tuples
 
 
 _G_RE = re.compile(r"([OoUu])\s*(\d+)\s*([+-])")
@@ -379,17 +424,17 @@ def parse_gauss(text):
     chunks = [c for c in re.split(r"[;\n]", text) if c.strip()]
     if not chunks:
         raise MalformedCode("empty Gauss code")
-    visits = []  # per component: list of (OU, label, sign)
+    visits = []  # per component: list of (label, OU, sign)
     for chunk in chunks:
         toks = _G_RE.findall(chunk)
         leftover = _G_RE.sub("", chunk).replace(",", "").strip()
         if leftover or not toks:
             raise MalformedCode("bad Gauss tokens in %r" % chunk)
-        visits.append([(ou.upper(), int(lbl), 1 if s == "+" else -1) for ou, lbl, s in toks])
+        visits.append([(int(lbl), ou.upper(), 1 if s == "+" else -1) for ou, lbl, s in toks])
 
     seen = {}
     for comp in visits:
-        for ou, lbl, s in comp:
+        for lbl, ou, s in comp:
             seen.setdefault(lbl, []).append((ou, s))
     for lbl, occ in seen.items():
         if sorted(ou for ou, _ in occ) != ["O", "U"] or occ[0][1] != occ[1][1]:
@@ -397,30 +442,9 @@ def parse_gauss(text):
                 "crossing %d needs one O and one U visit with equal sign" % lbl
             )
 
-    # assign arc labels sequentially along each component; the arc after
-    # visit j carries the j-th label so numbering increases with travel
-    arc = 1
-    at = {}  # crossing label -> {"O": (in_arc, out_arc), "U": (...)}
-    for comp in visits:
-        k = len(comp)
-        first = arc
-        for j, (ou, lbl, s) in enumerate(comp):
-            inc = first + (j - 1) % k
-            out = first + j
-            at.setdefault(lbl, {})[ou] = (inc, out)
-        arc += k
-    tuples = []
-    for lbl in sorted(at):
-        (ui, uo) = at[lbl]["U"]
-        (oi, oo) = at[lbl]["O"]
-        s = seen[lbl][0][1]
-        if s > 0:
-            tuples.append((ui, oo, uo, oi))
-        else:
-            tuples.append((ui, oi, uo, oo))
-    d = build_diagram(tuples)
+    d = build_diagram(pd_from_visits(visits))
     # cross-check: the declared signs must match the rebuilt ones
-    for lbl, x in zip(sorted(at), d.crossings):
+    for lbl, x in zip(sorted(seen), d.crossings):
         if x.sign != seen[lbl][0][1]:
             raise InconsistentDiagram("sign of crossing %d is inconsistent" % lbl)
     return d

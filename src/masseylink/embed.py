@@ -50,7 +50,6 @@ class SeifertBand:
 
 @dataclass(frozen=True)
 class SeifertStructure:
-    scope: object          # "diagram" or component id
     circles: tuple
     bands: tuple
 
@@ -78,14 +77,12 @@ def seifert_circles(d, component=None, drawing=None):
     if component is None:
         scope_arcs = [a for arcs in d.components for a in arcs]
         smoothed = set(range(len(d.crossings)))
-        scope = "diagram"
     else:
         scope_arcs = list(d.component_arcs(component))
         smoothed = {
             i for i, x in enumerate(d.crossings)
             if x.under_component == component and x.over_component == component
         }
-        scope = component
     circles = []
     for pieces in d.smoothed_cycles(scope_arcs, smoothed):
         comp = d.arc_component(pieces[0][1])
@@ -133,7 +130,7 @@ def seifert_circles(d, component=None, drawing=None):
                 component=x.under_component,
             )
         )
-    return SeifertStructure(scope=scope, circles=tuple(out), bands=tuple(bands))
+    return SeifertStructure(circles=tuple(out), bands=tuple(bands))
 
 
 # ---------------------------------------------------------------------------

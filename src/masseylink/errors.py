@@ -43,12 +43,9 @@ class MasseyUndefined(UndefinedError):
     """A lower-order product does not vanish, so the product is undefined."""
 
 
-class PairwiseLinkingNonzero(UndefinedError):
-    """Triple Milnor invariant requested with nonzero pairwise linking."""
-
-
-class NonzeroLinking(UndefinedError):
-    """Derived boundary requested for a pair with nonzero linking number."""
+class NonzeroLinking(MasseyUndefined):
+    """Two requested components link (``LinkDiagram.check_unlinked``), so
+    no derived boundary, Massey product or Milnor invariant is defined."""
 
 
 class NotGeneric(InternalError):

@@ -9,7 +9,7 @@ variable.
 import json
 import os
 
-from .diagram import build_diagram, diagram_from_json
+from .diagram import build_diagram, diagram_from_json, pd_from_visits
 from .errors import InputError
 
 _HERE = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -45,74 +45,34 @@ def braid_closure_pd(word, strands):
     crossing whose over-strand runs from position i+1 to position i, which
     parses back with sign +1 under the package's conventions.
     """
-    k = len(word)
     for g in word:
         if g == 0 or abs(g) >= strands:
             raise ValueError("bad braid letter %r" % (g,))
 
-    # total permutation: top position -> bottom position of the same strand
-    perm = list(range(strands))  # perm[top] = bottom position, 0-based
+    # perm[top] = bottom position of the strand at top position, 0-based
+    perm = list(range(strands))
     for g in word:
         i = abs(g) - 1
-        for t in range(strands):
-            if perm[t] == i:
-                perm[t] = i + 1
-            elif perm[t] == i + 1:
-                perm[t] = i
+        perm = [i + 1 if p == i else i if p == i + 1 else p for p in perm]
 
-    # orbits of the closure, ordered by smallest top position
-    seen = [False] * strands
-    orbits = []
-    for s in range(strands):
-        if seen[s]:
-            continue
-        orbit = []
-        cur = s
-        while not seen[cur]:
-            seen[cur] = True
-            orbit.append(cur)
-            cur = perm[cur]
-        orbits.append(orbit)
-
-    # walk each component, collecting crossing passages in travel order
-    visits_by_comp = []
-    for orbit in orbits:
+    # each closure component walks the strands of its orbit, from the
+    # least top position, and passes every crossing of its positions
+    components = []
+    seen = set()
+    for top in range(strands):
         visits = []
-        for top in orbit:
+        while top not in seen:
+            seen.add(top)
             pos = top
             for t, g in enumerate(word):
                 i = abs(g) - 1
-                if pos not in (i, i + 1):
-                    continue
-                if g > 0:
-                    role = "O" if pos == i + 1 else "U"
-                else:
-                    role = "O" if pos == i else "U"
-                visits.append((t, role))
-                pos = i if pos == i + 1 else i + 1
-        visits_by_comp.append(visits)
-
-    # number arcs sequentially along each component and fill crossing slots
-    at = {}
-    arc = 1
-    for visits in visits_by_comp:
-        m = len(visits)
-        first = arc
-        for j, (t, role) in enumerate(visits):
-            inc = first + (j - 1) % m
-            out = first + j
-            at.setdefault(t, {})[role] = (inc, out)
-        arc += m
-
-    tuples = []
-    for t, g in enumerate(word):
-        ui, uo = at[t]["U"]
-        oi, oo = at[t]["O"]
-        if g > 0:
-            tuples.append((ui, oo, uo, oi))
-        else:
-            tuples.append((ui, oi, uo, oo))
-    return tuples
+                if pos in (i, i + 1):
+                    over = (pos == i + 1) == (g > 0)
+                    visits.append((t, "O" if over else "U", 1 if g > 0 else -1))
+                    pos = i if pos == i + 1 else i + 1
+            top = perm[top]
+        components.append(visits)
+    return pd_from_visits(components)
 
 
 def braid_closure(word, strands, comment=""):

@@ -8,8 +8,6 @@ iteratively up to the truncation degree), and the triple invariant is read
 off a longitude's degree-two coefficient.
 """
 
-from .errors import PairwiseLinkingNonzero
-
 
 class TruncatedSeries:
     """Integer power series in noncommuting symbols, truncated by word length.
@@ -163,16 +161,10 @@ def longitude_series(d, i, degree=3):
 def milnor_mu(d, indices, degree=3):
     """Triple Milnor invariant mu-bar(i j k) for distinct components.
 
-    Defined when the three pairwise linking numbers vanish; the value is
-    the coefficient of X_i X_j in the truncated Magnus expansion of the
-    k-th longitude.
+    Defined when the three pairwise linking numbers vanish, which
+    ``d.check_unlinked`` decides; the value is the coefficient of X_i X_j
+    in the truncated Magnus expansion of the k-th longitude.
     """
+    d.check_unlinked(indices, 3)
     i, j, k = indices
-    if len({i, j, k}) != 3:
-        raise ValueError("indices must be distinct")
-    for a, b in ((i, j), (j, k), (i, k)):
-        if d.linking_number(a, b) != 0:
-            raise PairwiseLinkingNonzero(
-                "lk(%d,%d) = %d != 0" % (a, b, d.linking_number(a, b))
-            )
     return longitude_series(d, k, degree).coefficient((i, j))

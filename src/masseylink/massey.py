@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from .embed import EmbeddedLink, measured, pushoff_cycle, pushoff_run
-from .errors import InputError, MasseyUndefined
+from .errors import MasseyUndefined
 from .plgeom import PLCurve, curve_surface_count
 from .trace import trace_derived_boundary
 
@@ -35,20 +35,6 @@ class MasseyResult:
     @property
     def value(self):
         return self.term_first + self.term_second
-
-
-def _check_ordering(source, ordering, size):
-    """InputError unless `ordering` names `size` distinct components of
-    the diagram of `source`, MasseyUndefined when two of them link."""
-    d = source.diagram if isinstance(source, EmbeddedLink) else source
-    if len(ordering) != size or len(set(ordering)) != size:
-        raise InputError("ordering must have %d distinct components" % size)
-    for i in ordering:
-        d._check_component(i)
-    for a, b in ((a, b) for a in ordering for b in ordering if a < b):
-        lk = d.linking_number(a, b)
-        if lk:
-            raise MasseyUndefined("lk(%d,%d) = %d, product undefined" % (a, b, lk))
 
 
 def first_term(e, db, i):
@@ -90,10 +76,14 @@ def massey3(source, ordering, grid_scale=1, perturb_index=0):
 
     `source` is a LinkDiagram or a prebuilt EmbeddedLink; an exact
     degeneracy is retried once by ``embed.measured``.  The result carries
-    the embedding it measured.
+    the embedding it measured.  Before anything is built, the diagram's
+    ``check_unlinked`` admits the ordering: InputError when it is not
+    three distinct components, NonzeroLinking (a MasseyUndefined) when two
+    of them link.
     """
     ordering = tuple(ordering)
-    _check_ordering(source, ordering, 3)
+    d = source.diagram if isinstance(source, EmbeddedLink) else source
+    d.check_unlinked(ordering, 3)
     return measured(source, lambda e: _massey3_on(e, ordering),
                     grid_scale, perturb_index)[1]
 
@@ -166,10 +156,14 @@ def massey4(source, ordering, provider=None, grid_scale=1, perturb_index=0):
     with a provider supplying the derived spanning surfaces.
 
     `source` is a LinkDiagram or a prebuilt EmbeddedLink; an exact
-    degeneracy is retried once by ``embed.measured``.
+    degeneracy is retried once by ``embed.measured``.  The diagram's
+    ``check_unlinked`` admits the ordering before anything is built, as in
+    ``massey3``; a third-order product that does not vanish is a
+    MasseyUndefined.
     """
     ordering = tuple(ordering)
-    _check_ordering(source, ordering, 4)
+    d = source.diagram if isinstance(source, EmbeddedLink) else source
+    d.check_unlinked(ordering, 4)
     return measured(source, lambda e: _massey4_on(e, ordering, provider),
                     grid_scale, perturb_index)[1]
 

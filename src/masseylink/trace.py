@@ -20,7 +20,7 @@ result as standalone loops.
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import NonzeroLinking, NotGeneric, StuckTrace
+from .errors import NotGeneric, StuckTrace
 from .plgeom import (
     PLCurve,
     curve_surface_crossings,
@@ -186,12 +186,13 @@ def _next_after(positions, pos, ok, stuck):
 
 
 def _balanced_pierces(K_a, F_b, pair):
-    """The pierces of K_a through F_b as a tuple; NonzeroLinking unless
-    their labels sum to zero."""
+    """The pierces of K_a through F_b as a tuple.  Their labels sum to the
+    linking number, which the diagram has proved zero, so any other sum
+    means the geometry disagrees with the diagram: StuckTrace."""
     pierces = tuple(pierce_points(K_a, F_b))
     total = sum(p.label for p in pierces)
     if total != 0:
-        raise NonzeroLinking("pierce labels of pair %r sum to %d" % (pair, total))
+        raise StuckTrace("pierce labels of pair %r sum to %d" % (pair, total))
     return pierces
 
 
@@ -283,14 +284,13 @@ def _check_closed(db):
 def trace_derived_boundary(e, a, b):
     """Derived boundary of an embedded pair; requires lk(a, b) = 0.
 
-    The pierces of K_a through F_b are found once per ordered pair and
-    kept in ``e.pierces``; a NotGeneric or NonzeroLinking propagates before
-    anything is stored.
+    The pair is first admitted by the diagram's ``check_unlinked``:
+    InputError unless it is two distinct components, NonzeroLinking when
+    they link.  The pierces of K_a through F_b are found once per ordered
+    pair and kept in ``e.pierces``; a NotGeneric or StuckTrace propagates
+    before anything is stored.
     """
-    if e.diagram.linking_number(a, b) != 0:
-        raise NonzeroLinking(
-            "lk(%d,%d) = %d" % (a, b, e.diagram.linking_number(a, b))
-        )
+    e.diagram.check_unlinked((a, b), 2)
     pierces = e.pierces.get((a, b))
     if pierces is None:
         pierces = _balanced_pierces(e.curves[a], e.surfaces[b], (a, b))

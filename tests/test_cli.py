@@ -46,6 +46,10 @@ def test_massey3_undefined_exit_code(capsys):
     assert doc is None  # no partial JSON on failure
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("built an embedding")
+
+
 @pytest.mark.parametrize("argv", [
     ["massey3", "--order", "1,2,2"],
     ["massey4", "--order", "1,2,3,3"],
@@ -53,17 +57,26 @@ def test_massey3_undefined_exit_code(capsys):
     ["trace", "--pair", "2,2"],
 ])
 def test_repeated_component_is_an_input_error(argv, capsys, monkeypatch):
-    if argv[0] != "trace":
-        # a Massey ordering is checked on the diagram, before any build
-        def no_build(*args, **kwargs):
-            raise AssertionError("built an embedding")
-
-        monkeypatch.setattr(embed, "build_embedding", no_build)
+    # every command checks its components on the diagram, before any build
+    monkeypatch.setattr(embed, "build_embedding", _no_build)
     code = main(argv + ["--fixture", "borromean"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["trace", "--pair", "1,2", "--fixture", "hopf_pos"], 2, "undefined:"),
+    # an unknown component is reported before the linked pair (1, 2)
+    (["milnor", "--indices", "1,2,4", "--fixture", "hopf_split"], 1, "input error:"),
+], ids=["trace linked pair", "milnor unknown component"])
+def test_components_are_checked_before_any_build(argv, code, err, capsys, monkeypatch):
+    monkeypatch.setattr(embed, "build_embedding", _no_build)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(err)
 
 
 def test_malformed_input_exit_code(capsys):

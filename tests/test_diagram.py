@@ -10,10 +10,14 @@ from masseylink.diagram import (
 )
 from masseylink.errors import (
     InconsistentDiagram,
+    InputError,
     MalformedCode,
+    MasseyUndefined,
+    NonzeroLinking,
     UnknownComponent,
 )
-from masseylink.fixtures import braid_closure, braid_closure_pd, load_fixture
+from masseylink.fixtures import (
+    braid_closure, braid_closure_pd, clasp_family, load_fixture)
 
 
 def test_unknot0_fixture():
@@ -99,6 +103,39 @@ def test_unknown_component():
         d.linking_number(1, 3)
     with pytest.raises(UnknownComponent):
         d.linking_number(1, 1)
+
+
+@pytest.mark.parametrize("components, size", [
+    ((1, 2), 3),
+    ((1, 2, 2), 3),
+    ((1, 2, 4), 3),     # no component 4, beside the linked pair (1, 2)
+], ids=["wrong size", "repeat", "unknown"])
+def test_check_unlinked_refuses_bad_input_first(components, size):
+    with pytest.raises(InputError):
+        load_fixture("hopf_split").check_unlinked(components, size)
+
+
+def test_check_unlinked_refuses_a_linked_pair():
+    d = load_fixture("hopf_split")
+    d.check_unlinked((1, 3), 2)
+    with pytest.raises(NonzeroLinking) as err:
+        d.check_unlinked((3, 2, 1), 3)
+    assert isinstance(err.value, MasseyUndefined)
+    assert str(err.value) == "lk(2,1) = 1"
+
+
+@pytest.mark.parametrize("name, closure", [
+    pytest.param(name, closure, id=name) for name, closure in (
+        ("brunn_1", lambda: clasp_family(1)),
+        ("brunn_2", lambda: clasp_family(2)),
+        ("brunn_3", lambda: clasp_family(3)),
+        ("borromean", lambda: clasp_family(1)),
+        ("borromean_mirror", lambda: braid_closure((-1, 2) * 3, 3)),
+    )])
+def test_braid_fixtures_are_their_closures(name, closure):
+    d, c = load_fixture(name), closure()
+    assert [x.slots for x in d.crossings] == [x.slots for x in c.crossings]
+    assert d.components == c.components
 
 
 # -- Gauss codes -----------------------------------------------------------

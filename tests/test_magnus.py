@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masseylink.errors import PairwiseLinkingNonzero
+from masseylink.errors import NonzeroLinking
 from masseylink.fixtures import braid_closure, clasp_family, load_fixture
 from masseylink.magnus import (
     TruncatedSeries,
@@ -138,7 +138,7 @@ def test_pairwise_linking_guard(hopf):
     d = parse_pd(
         json.dumps({"components": 3, "crossings": [[1, 3, 2, 4], [3, 1, 4, 2]]})
     )
-    with pytest.raises(PairwiseLinkingNonzero):
+    with pytest.raises(NonzeroLinking):
         milnor_mu(d, (1, 2, 3))
 
 

@@ -405,7 +405,7 @@ def _ref_boundary_empty(db):
 
 
 def _ref_massey4_on(e, ordering, provider):
-    massey_mod._check_ordering(e, ordering, 4)
+    e.diagram.check_unlinked(ordering, 4)
     i, j, k, l = ordering
     for triple in ((i, j, k), (i, j, l), (i, k, l), (j, k, l)):
         r = _massey3_on(e, triple)
