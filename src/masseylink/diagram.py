@@ -153,8 +153,8 @@ class LinkDiagram:
         if a == b:
             raise UnknownComponent("linking number needs two distinct components")
         return sum(
-            x.sign for x in self.crossings
-            if x.under_component == a and x.over_component == b
+            x.sign for x in self.crossings_between(a, b)
+            if x.under_component == a
         )
 
     def linking_matrix(self):

@@ -10,8 +10,10 @@ disjointness, slot order, clearances) confirms the result.
 Each crossing is finished on its own arms: every arm is cut where it
 leaves a small bulged diamond around the crossing vertex, and the two
 pairs of opposite cut points are joined by straight chords, which
-intersect in a single interior point.  All later geometry (dips,
-smoothing bypasses, twist bands) lives on these chords.
+intersect in a single interior point.  All later geometry lives on two
+rails of stations, one on each chord (`CrossingStations`): the under rail
+carries the dip, smoothing bypasses turn off at the rails' ends, and twist
+bands are ruled between the two rails.
 
 The diamond of radius r is the closed curve of the points
 r * (1 + a(1-a)/2) * (+-a, +-(1-a)), 0 <= a <= 1, and the arm with
@@ -65,6 +67,10 @@ def _on_seg2(a, b, p):
     )
 
 
+def _strictly_between(a, b, p):
+    return p != a and p != b and _on_seg2(a, b, p)
+
+
 def segments_touch(segs):
     """Do two of the closed segments (a, b) meet anywhere other than in one
     common endpoint?
@@ -91,7 +97,7 @@ def segments_touch(segs):
             if shared:
                 # one common endpoint: neither segment may hold another
                 # point of the other
-                if any(_on_seg2(u, v, q) and q not in (u, v)
+                if any(_strictly_between(u, v, q)
                        for u, v, q in ((a, b, c), (a, b, d), (c, d, a), (c, d, b))):
                     return True
             elif seg2_properly_intersect(a, b, c, d):
@@ -418,17 +424,34 @@ def _cyclic_order(dirs):
 # public objects
 
 
+# rail positions where the under-strand dips below the over chord
+UNDER_DIP = (2, 3)
+
+
 @dataclass(frozen=True)
-class CrossingGeometry:
+class CrossingStations:
+    """The two chords of one crossing and the rail of stations on each.
+
+    Each rail runs in chord order, A..B and P1..P4 flanking the crossing
+    point; the under-strand dips at rail positions ``UNDER_DIP``.  A
+    smoothed passage runs its whole rail between the chord's ends; an
+    unsmoothed under passage drops the rail's two ends, and an unsmoothed
+    over passage runs straight.  A smoothing bypass turns from one rail's
+    first station to the other rail's last, and the band of a smoothed
+    crossing is ruled between the under rail and the reversed over rail.
+    """
+
     center: tuple
     point: tuple          # intersection point of the two chords
     under_chord: tuple    # (entry, exit): where the strand's arms leave the diamond
     over_chord: tuple
+    under: tuple          # m_in, A, D1, D2, B, m_out on the under chord
+    over: tuple           # m_in, P1, P2, P3, P4, m_out on the over chord
 
 
-def _chord_point(chord, t):
-    a, b = chord
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+def _rail(chord, ts):
+    (ax, ay), (bx, by) = chord
+    return tuple((ax + t * (bx - ax), ay + t * (by - ay)) for t in ts)
 
 
 def _chord_param(chord, p):
@@ -439,40 +462,12 @@ def _chord_param(chord, p):
     return Q(p[1] - a[1], dy)
 
 
-class CrossingStations:
-    """Named points of one crossing: dip stations and smoothing stations."""
-
-    def __init__(self, geo):
-        self.geo = geo
-        Y = geo.point
-        tU = _chord_param(geo.under_chord, Y)
-        tO = _chord_param(geo.over_chord, Y)
-        lam = min(tU, 1 - tU) / 4
-        u = geo.under_chord
-        self.Y = Y
-        self.u_m_in = _chord_point(u, tU / 2)
-        self.u_m_out = _chord_point(u, (1 + tU) / 2)
-        self.u_A = _chord_point(u, tU - lam)
-        self.u_D1 = _chord_point(u, tU - lam / 2)
-        self.u_D2 = _chord_point(u, tU + lam / 2)
-        self.u_B = _chord_point(u, tU + lam)
-        o = geo.over_chord
-        self.o_m_in = _chord_point(o, tO / 2)
-        self.o_m_out = _chord_point(o, (1 + tO) / 2)
-        self.o_P = [
-            _chord_point(o, 3 * tO / 4),
-            _chord_point(o, 7 * tO / 8),
-            _chord_point(o, tO + (1 - tO) / 8),
-            _chord_point(o, tO + (1 - tO) / 4),
-        ]
-
-
 @dataclass(frozen=True)
 class Drawing:
     diagram: object
     scale: object                 # rational multiplier from grid ints
     arc_paths: dict               # arc -> list of 2D rational points
-    stations: tuple               # CrossingStations per crossing
+    stations: tuple               # one CrossingStations per crossing
 
 
 # radius of the bulged diamond in grid units: the gadget lies within
@@ -534,7 +529,7 @@ def draw_diagram(d, grid_scale=1):
         return (len(touched), -len(face))
 
     all_pos = {}
-    geo = [None] * len(d.crossings)
+    stations = [None] * len(d.crossings)
     arc_paths = {}
     offset_x = Q(0)
     margin = 40
@@ -609,10 +604,18 @@ def draw_diagram(d, grid_scale=1):
         Y = seg2_intersection(*under, *over)
         if not (_strictly_between(*under, Y) and _strictly_between(*over, Y)):
             raise EmbeddingDegenerate("chords of crossing %d do not cross" % idx)
-        geo[idx] = CrossingGeometry(center=X, point=Y, under_chord=under, over_chord=over)
+        tU, tO = _chord_param(under, Y), _chord_param(over, Y)
+        lam = min(tU, 1 - tU) / 4
+        stations[idx] = CrossingStations(
+            center=X, point=Y, under_chord=under, over_chord=over,
+            under=_rail(under, (tU / 2, tU - lam, tU - lam / 2, tU + lam / 2,
+                                tU + lam, (1 + tU) / 2)),
+            over=_rail(over, (tO / 2, 3 * tO / 4, 7 * tO / 8, tO + (1 - tO) / 8,
+                              tO + (1 - tO) / 4, (1 + tO) / 2)),
+        )
 
     for arc, ((xo, so), (xi, si)) in d.arc_ends.items():
-        g_out, g_in = geo[xo], geo[xi]
+        g_out, g_in = stations[xo], stations[xi]
         start = (g_out.under_chord if so == 2 else g_out.over_chord)[1]
         stop = (g_in.under_chord if si == 0 else g_in.over_chord)[0]
         arc_paths[arc] = [
@@ -626,16 +629,5 @@ def draw_diagram(d, grid_scale=1):
         diagram=d,
         scale=unit,
         arc_paths=arc_paths,
-        stations=tuple(CrossingStations(g) for g in geo),
-    )
-
-
-def _strictly_between(a, b, p):
-    if orient2(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-        and p != a
-        and p != b
+        stations=tuple(stations),
     )

@@ -20,7 +20,8 @@ horizontal polygons of different surfaces are never coplanar.
 
 from dataclasses import dataclass, field
 
-from .drawing import draw_diagram, point_in_polygon, polygon_area2, segments_touch
+from .drawing import (
+    UNDER_DIP, draw_diagram, point_in_polygon, polygon_area2, segments_touch)
 from .errors import NotGeneric
 from .plgeom import PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_scale, v_sub
 from .rational import Q
@@ -137,38 +138,26 @@ def seifert_circles(d, component=None, drawing=None):
 # per-crossing local geometry in the plane
 
 
-def _passage_points(loc, role, smoothed):
-    """2D waypoints of a full strand passage through a crossing."""
-    if role == "U":
-        ends = loc.geo.under_chord
-        mid = [loc.u_A, loc.u_D1, loc.u_D2, loc.u_B]
-        if smoothed:
-            mid = [loc.u_m_in] + mid + [loc.u_m_out]
-    else:
-        ends = loc.geo.over_chord
-        mid = []
-        if smoothed:
-            mid = [loc.o_m_in] + loc.o_P + [loc.o_m_out]
-    return [ends[0]] + mid + [ends[1]]
+def _rails(loc, dip, z):
+    """The crossing's under and over rails at height z, the under rail's
+    dip stations at z + dip."""
+    under = [(p[0], p[1], z + dip if k in UNDER_DIP else z)
+             for k, p in enumerate(loc.under)]
+    return under, [(p[0], p[1], z) for p in loc.over]
 
 
-def _passage_heights(loc, role, pts, dip):
-    """z for each waypoint: under passages dip between the D stations."""
-    if role != "U":
-        return [Q(0)] * len(pts)
-    zs = []
-    for p in pts:
-        zs.append(dip if p in (loc.u_D1, loc.u_D2) else Q(0))
-    return zs
-
-
-def _bypass_entry(loc, role):
-    """Waypoints from the passage entry to the smoothing bypass and on to
-    the other strand's exit (all at z=0)."""
-    u, o = loc.geo.under_chord, loc.geo.over_chord
-    if role == "U":
-        return [u[0], loc.u_m_in], [loc.o_m_out, o[1]]
-    return [o[0], loc.o_m_in], [loc.u_m_out, u[1]]
+def _waypoints(loc, kind, role, smoothed, dip, z):
+    """3D waypoints of a passage or a bypass through a crossing, by the
+    rules of CrossingStations; the strand `role` ("U" or "O") enters it."""
+    rails = _rails(loc, dip, z)
+    chords = [[(p[0], p[1], z) for p in c] for c in (loc.under_chord, loc.over_chord)]
+    own = 0 if role == "U" else 1
+    (start, end), rail = chords[own], rails[own]
+    if kind == "bypass":
+        return [start, rail[0], rails[1 - own][-1], chords[1 - own][1]]
+    if not smoothed:
+        rail = rail[1:-1] if role == "U" else []
+    return [start, *rail, end]
 
 
 def _walk(drawing, steps, smoothed, dip, zshift):
@@ -176,29 +165,19 @@ def _walk(drawing, steps, smoothed, dip, zshift):
     consecutive repeats dropped.
 
     Arcs and bypasses lie at z = 0 and an under passage dips to `dip`
-    between its D stations, all shifted by `zshift`.  A passage through a
+    at its dip stations, all shifted by `zshift`.  A passage through a
     crossing in `smoothed` also visits the stations its band is ruled on.
     """
     pts = []
-
-    def push(ps, zs):
-        for p, z in zip(ps, zs):
-            v = (p[0], p[1], z + zshift)
-            if not pts or pts[-1] != v:
-                pts.append(v)
-
     for step in steps:
         if step[0] == "arc":
-            ps = drawing.arc_paths[step[1]]
-            push(ps, [Q(0)] * len(ps))
-        elif step[0] == "pass":
-            _, xi, role = step
-            loc = drawing.stations[xi]
-            ps = _passage_points(loc, role, smoothed=xi in smoothed)
-            push(ps, _passage_heights(loc, role, ps, dip))
+            ps = [(p[0], p[1], zshift) for p in drawing.arc_paths[step[1]]]
         else:
-            enter, leave = _bypass_entry(drawing.stations[step[1]], step[2])
-            push(enter + leave, [Q(0)] * (len(enter) + len(leave)))
+            kind, xi, role = step
+            ps = _waypoints(drawing.stations[xi], kind, role, xi in smoothed, dip, zshift)
+        for v in ps:
+            if not pts or pts[-1] != v:
+                pts.append(v)
     if pts and pts[0] == pts[-1]:
         pts.pop()
     return pts
@@ -358,17 +337,8 @@ def _check_simple(poly):
 
 def _band_triangles(loc, dip, zshift):
     """Twisted strip absorbing a self-crossing: rules from the dipping
-    under-path to the reversed flat over-path."""
-    z0 = zshift
-    U = [
-        (p[0], p[1], z0) for p in (loc.u_m_in, loc.u_A)
-    ] + [
-        (loc.u_D1[0], loc.u_D1[1], dip + zshift),
-        (loc.u_D2[0], loc.u_D2[1], dip + zshift),
-    ] + [
-        (p[0], p[1], z0) for p in (loc.u_B, loc.u_m_out)
-    ]
-    O = [(p[0], p[1], z0) for p in [loc.o_m_in] + loc.o_P + [loc.o_m_out]]
+    under rail to the reversed flat over rail."""
+    U, O = _rails(loc, dip, zshift)
     tris = []
     for j in range(5):
         a, b = U[j], U[j + 1]
@@ -390,11 +360,7 @@ def _tube_radius(unit, stations):
     every crossing, so pushoffs pierce walls exactly where their curves do."""
     r = unit / 8
     for loc in stations:
-        o = loc.geo.over_chord
-        d2 = min(
-            _dist2_point_line(loc.u_A, o[0], o[1]),
-            _dist2_point_line(loc.u_B, o[0], o[1]),
-        )
+        d2 = min(_dist2_point_line(loc.under[k], *loc.over_chord) for k in (1, 4))
         guard = 0
         while r * r * 8 > d2:
             r = r / 2

@@ -105,6 +105,14 @@ def test_unknown_component():
         d.linking_number(1, 1)
 
 
+def test_linking_number_under_checks_both_components():
+    d = load_fixture("hopf_pos")
+    with pytest.raises(UnknownComponent):
+        d.linking_number_under(1, 7)
+    with pytest.raises(UnknownComponent):
+        d.linking_number_under(0, -3)
+
+
 @pytest.mark.parametrize("components, size", [
     ((1, 2), 3),
     ((1, 2, 2), 3),

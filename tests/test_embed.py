@@ -27,6 +27,7 @@ from masseylink.drawing import (
 )
 from masseylink import embed
 from masseylink.embed import (
+    _dist2_point_line,
     _essential_vertices,
     _in_closed_tri2,
     _same_cycle,
@@ -66,9 +67,9 @@ def _euler(surface):
 
 
 def test_drawing_realizes_slot_rotation(borromean):
-    assert len([s.geo for s in draw_diagram(borromean).stations]) == 6
+    assert len(draw_diagram(borromean).stations) == 6
     for name in fixture_names():
-        for g in [s.geo for s in draw_diagram(load_fixture(name)).stations]:
+        for g in draw_diagram(load_fixture(name)).stations:
             # the chords cross at an interior point of both passages
             assert g.point != g.under_chord[0] and g.point != g.under_chord[1]
             assert g.point != g.over_chord[0] and g.point != g.over_chord[1]
@@ -116,7 +117,7 @@ def test_diamond_exits_are_in_strictly_convex_position():
         + [(sx * 10**6, sy) for sx, sy in signs]
     )
     clasp_arms = []
-    for g in [s.geo for s in draw_diagram(clasp_family(8)).stations]:
+    for g in draw_diagram(clasp_family(8)).stations:
         X = g.center
         ends = [*g.under_chord, *g.over_chord]
         clasp_arms += [(e[0] - X[0], e[1] - X[1]) for e in ends]
@@ -237,7 +238,7 @@ def test_split_pieces_have_disjoint_bands():
 @pytest.mark.parametrize("word", [(1,) * 18, (1, -1) * 9], ids=["18 twists", "9 clasps"])
 def test_long_twist_regions_draw(word):
     dr = draw_diagram(braid_closure(word, 2))
-    assert len([s.geo for s in dr.stations]) == 18
+    assert len(dr.stations) == 18
 
 
 def _pieces_with_crossings(d):
@@ -614,7 +615,7 @@ def test_band_through_a_disk_is_still_caught():
     e = build_embedding(load_fixture("trefoil"))
     surf, tags = e.surfaces[1], e.provenance[1]
     band = tags.index("band:0")
-    dip = e.drawing.stations[0].u_D1
+    dip = e.drawing.stations[0].under[2]
     v = next(p for t in surf.triangles[band:band + 10] for p in t if p[:2] == dip)
     deepest = min(t[0][2] for t, g in zip(surf.triangles, tags) if g.startswith("disk"))
     w = (v[0], v[1], deepest - e.unit)
@@ -628,6 +629,28 @@ def test_band_through_a_disk_is_still_caught():
         verify_embedding(bad)
     kinds = {tags[int(k)].split(":")[0] for k in re.findall(r"\d+", str(err.value))}
     assert kinds == {"band", "disk"}
+
+
+_RAIL_CASES = (
+    [pytest.param(load_fixture(name), id=name) for name in fixture_names()]
+    + [pytest.param(clasp_family(k), id="clasp_family(%d)" % k) for k in (1, 2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("d", _RAIL_CASES)
+def test_tube_radius_keeps_the_rail_contract(d):
+    # a parallel of either strand within the tube radius still crosses the
+    # other strand between A and B, so it dips where its curve does: A and
+    # B lie far enough from the over chord and on opposite sides of it, and
+    # so do the two dip stations between them
+    e = build_embedding(d)
+    for loc in e.drawing.stations:
+        a, b = loc.over_chord
+        A, D1, D2, B = loc.under[1:5]
+        assert 8 * e.tube_radius ** 2 <= _dist2_point_line(A, a, b)
+        assert 8 * e.tube_radius ** 2 <= _dist2_point_line(B, a, b)
+        assert orient2(a, b, D1) * orient2(a, b, D2) == -1
+        assert orient2(a, b, A) * orient2(a, b, B) == -1
 
 
 def test_essential_vertices_skip_collinear_subdivisions():
