@@ -388,20 +388,19 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
         self_sm = {b.crossing for b in st.bands}
         (steps,) = d.smoothed_cycles(d.component_arcs(i), ())
         curves[i] = PLCurve(_walk(drawing, steps, self_sm, dip, zshift), closed=True)
-        tris, tags, cups = [], [], []
+        tris, tags, cup_ends = [], [], []
         for c in st.circles:
             level = -H * (2 + (maxdepth - c.depth) + Q(i, m + 1)) + zshift
             rim = _walk(drawing, c.pieces, self_sm, dip, zshift)
             t, g = _wall_and_polygon(rim, level)
             tris.extend(t)
             tags.extend("%s:%d" % (tag, c.index) for tag in g)
-            cups.extend([c.index] * len(t))
+            cup_ends.append(len(tris))
         for b in st.bands:
             bt = _band_triangles(drawing.stations[b.crossing], dip, zshift)
             tris.extend(bt)
             tags.extend(["band:%d" % b.crossing] * len(bt))
-            cups.extend([None] * len(bt))
-        surfaces[i] = PLSurface(tris, cups)
+        surfaces[i] = PLSurface(tris, cup_ends)
         provenance[i] = tags
 
     e = EmbeddedLink(
@@ -447,10 +446,10 @@ def measured(source, measure, grid_scale=1, perturb_index=0):
 def verify_embedding(e):
     """Boundary and embeddedness checks for every component surface.
 
-    The triangles of one cup (a circle's wall and disk, keyed by the
-    circle's index in ``PLSurface.cups``) were proved embedded together
-    when built (see _wall_and_polygon), so ``check_embedded`` compares the
-    other pairs in exact 3D: bands against anything, and different cups.
+    The triangles of one cup (a circle's wall and disk, which end at one
+    of ``PLSurface.cup_ends``) were proved embedded together when built
+    (see _wall_and_polygon), so ``check_embedded`` compares the other
+    pairs in exact 3D: bands against anything, and different cups.
     """
     for i, surf in e.surfaces.items():
         loops = surf.boundary_curves()

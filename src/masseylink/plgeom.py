@@ -7,14 +7,14 @@ degeneracy resolved are expected to perturb their input and retry.
 The triangle kernel decides every sign on integers (see "integer forms").
 
 Every candidate pair (two triangles, or a curve segment and a triangle)
-comes from one sweep over float boxes, ``BoxIndex.pairs``.  In
-``PLSurface.meets`` a triangle pair then passes two more tests: their
-xy shadows must not be proved apart (``shadows_apart``, exact), and only
-then does the exact kernel ``triangle_triangle`` cut each triangle by
-the other's stored plane and overlap the two cuts.  Neither filter drops
-a pair that meets.  The kernel orients what it returns: a segment of
-two triangles whose planes are not parallel runs along n1 x n2, the
-cross product of their normals.
+comes from one sweep over two sets of float boxes, ``BoxIndex.pairs``.
+A triangle pair of ``PLSurface.meets`` or ``check_embedded`` then
+passes two more tests: their xy shadows must not be proved apart
+(``shadows_apart``, exact), and only then does the exact kernel
+``triangle_triangle`` cut each triangle by the other's stored plane and
+overlap the two cuts.  Neither filter drops a pair that meets.  The
+kernel orients what it returns: a segment of two triangles whose planes
+are not parallel runs along n1 x n2, the cross product of their normals.
 
 Intersection results are tagged tuples:
   ("empty",)
@@ -518,13 +518,15 @@ class PLSurface:
     each triangle, made once here for the exact kernel, ``planes`` its
     integer plane (n, k) at the triangle's own denominator, and ``index``
     the one BoxIndex of the triangles, built from those integer forms.
-    ``cups``, optional, keys each triangle: two with one key other than
-    None are proved embedded together, and ``meets`` skips them.
+    ``cup_ends`` (e1, e2, ...) are where the cups end: triangles[0:e1],
+    triangles[e1:e2] and so on are cups, each proved embedded; the
+    triangles after the last end (the bands) are proved nothing, and with
+    no ends the whole surface is one unproved part.
     """
 
-    def __init__(self, triangles, cups=None):
+    def __init__(self, triangles, cup_ends=()):
         self.triangles = [tuple(_qvertex(v) for v in t) for t in triangles]
-        self.cups = cups
+        self.cup_ends = list(cup_ends)
         self.lifted = [int_triangle(t) for t in self.triangles]
         self.planes = [_plane(it.verts) for it in self.lifted]
         self.index = BoxIndex(self.lifted)
@@ -557,27 +559,36 @@ class PLSurface:
         # so they stitch into loops only
         return [PLCurve(loop, closed=True) for loop in stitch(self.validate())[1]]
 
-    def meets(self, other=None):
-        """Yield (i, j, r), in (i, j) order, for each triangle i here and j
-        of ``other`` that meet: boxes, then ``shadows_apart``, then the
-        kernel, whose non-empty result is r.  With no ``other``, this
-        surface's own pairs, i < j, less those within one cup."""
-        G, cups = (self, self.cups) if other is None else (other, None)
-        A, B = self.lifted, G.lifted
-        for i, j in self.index.pairs(None if other is None else G.index):
-            if cups is not None and cups[i] is not None and cups[i] == cups[j]:
-                continue
+    def _contacts(self, pairs, other):
+        """(i, j, r) for each candidate (i, j) whose shadows are not proved
+        apart and whose kernel result r is not empty."""
+        A, B = self.lifted, other.lifted
+        for i, j in pairs:
             if shadows_apart(A[i], B[j]):
                 continue
-            r = triangle_triangle(A[i], B[j], self.planes[i], G.planes[j])
+            r = triangle_triangle(A[i], B[j], self.planes[i], other.planes[j])
             if r[0] != "empty":
                 yield i, j, r
 
+    def meets(self, other):
+        """Yield (i, j, r), in (i, j) order, for each triangle i here and j
+        of ``other`` that meet: boxes, then ``_contacts``."""
+        return self._contacts(self.index.pairs(other.index), other)
+
     def check_embedded(self):
-        """Exact self-intersection check over ``meets()``: triangles may
-        share vertices/edges (mesh adjacency); any other contact raises
-        NotGeneric, for the first such pair in (i, j) order."""
-        for i, j, r in self.meets():
+        """Exact self-intersection check of the pairs i < j no cup proves:
+        each part (see ``cup_ends``) against every later part, the last
+        against itself.  Triangles may share vertices/edges (mesh adjacency);
+        any other contact raises NotGeneric, first pair in (i, j) order."""
+        cuts = [0, *self.cup_ends, len(self)]
+        parts = [(lo, BoxIndex(self.lifted[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+        lo, idx = parts[-1]
+        pairs = [(lo + i, lo + j) for i, j in idx.pairs(idx) if i < j]
+        for k, (lo, idx) in enumerate(parts):
+            for lo2, idx2 in parts[k + 1:]:
+                pairs += [(lo + i, lo2 + j) for i, j in idx.pairs(idx2)]
+        pairs.sort()
+        for i, j, r in self._contacts(pairs, self):
             # distinct common vertices, compared without hashing
             t1, t2 = self.triangles[i], self.triangles[j]
             shared = []
@@ -647,9 +658,9 @@ class BoxIndex:
     """Float bounding-box prefilter over lifted triangles or segments.
 
     ``arr`` holds one float row (lo x, y, z, hi x, y, z) per item, in item
-    order.  ``pairs`` is the one way the package finds candidate pairs;
-    ``query``, a scan of every row against one box, is the reference it
-    must equal, and ``PLSurface.meets`` takes its triangle pairs from it.
+    order.  ``pairs`` of two indexes is the one way the package finds
+    candidate pairs, for ``PLSurface.meets`` and ``check_embedded`` too;
+    ``query``, a scan of every row against one box, is what it must equal.
     No pair whose exact boxes overlap is missed, at any scale: min(ints) /
     D is one correctly rounded int/int division, the ``float`` of the
     rational corner, so it is monotone and exact ``lo <= hi`` implies
@@ -670,27 +681,17 @@ class BoxIndex:
             if a0 <= x1 and a1 >= x0 and b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0
         ]
 
-    def pairs(self, other=None):
+    def pairs(self, other):
         """Every (i, j) with row i of this index overlapping row j of
         ``other``, sorted: ``other.query`` of each row, in row order.
-        With no ``other``, the pairs of this index's own rows with i < j.
 
         A pair is found once, from the row with the lesser low x (the row
         here on a tie): row i takes the rows of ``other`` whose low x is
         in [lo x, hi x] of row i, and row j of ``other`` the rows here
         whose low x is in (lo x, hi x] of row j.  Both are bisections of
-        the rows sorted by low x; y and z decide.  Within one index, the
-        row at sorted place p takes the later rows up to its high x.
+        the rows sorted by low x; y and z decide.
         """
         out = []
-        if other is None:
-            xs, by_x = self._x0, self._by_x
-            for p, (i, (_, y0, z0, x1, y1, z1)) in enumerate(by_x):
-                for j, (_, b0, c0, _, b1, c1) in by_x[p + 1:bisect_right(xs, x1)]:
-                    if b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0:
-                        out.append((i, j) if i < j else (j, i))
-            out.sort()
-            return out
         for rows, scan, first, flip in ((self.arr, other, bisect_left, False),
                                         (other.arr, self, bisect_right, True)):
             xs, by_x = scan._x0, scan._by_x

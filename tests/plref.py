@@ -12,6 +12,7 @@ too, so that they are one set.
 """
 
 import random
+from bisect import bisect_right
 
 from masseylink.errors import NotGeneric
 from masseylink.fixtures import braid_closure
@@ -235,22 +236,16 @@ def rational_rows(items):
     return [tuple(float(c) for c in bbox(it)) for it in items]
 
 
-def meets(surface, other=None):
+def meets(surface, other):
     """``PLSurface.meets`` as one ``BoxIndex.query`` row scan per triangle
     of ``surface``, then the shadow reject, then the kernel, as a list."""
-    G = surface if other is None else other
-    cups = surface.cups if other is None else None
     out = []
     for i, row in enumerate(surface.index.arr):
-        for j in G.index.query(row):
-            if other is None and j <= i:
-                continue
-            if cups is not None and cups[i] is not None and cups[i] == cups[j]:
-                continue
-            t1, t2 = surface.lifted[i], G.lifted[j]
+        for j in other.index.query(row):
+            t1, t2 = surface.lifted[i], other.lifted[j]
             if shadows_apart(t1, t2):
                 continue
-            r = triangle_triangle(t1, t2, surface.planes[i], G.planes[j])
+            r = triangle_triangle(t1, t2, surface.planes[i], other.planes[j])
             if r[0] != "empty":
                 out.append((i, j, r))
     return out
@@ -259,14 +254,16 @@ def meets(surface, other=None):
 def check_embedded(surface):
     """``PLSurface.check_embedded`` as one ``BoxIndex.query`` row scan per
     triangle, the loop that the sweep replaced, skipping pairs within one
-    of ``surface.cups``: it must pass, or raise the same message, on every
-    surface."""
+    cup: it must pass, or raise the same message, on every surface.  The
+    cup of triangle i is the number of ``surface.cup_ends`` at or below i,
+    and none after the last end."""
     idx = surface.index
-    lifted, planes, cups = surface.lifted, surface.planes, surface.cups
+    lifted, planes, ends = surface.lifted, surface.planes, surface.cup_ends
+    cups = [bisect_right(ends, i) if ends and i < ends[-1] else None
+            for i in range(len(surface))]
     for i, t1 in enumerate(surface.triangles):
-        cup = cups[i] if cups is not None else None
         for j in idx.query(idx.arr[i]):
-            if j <= i or (cup is not None and cups[j] == cup):
+            if j <= i or (cups[i] is not None and cups[j] == cups[i]):
                 continue
             if shadows_apart(lifted[i], lifted[j]):
                 continue

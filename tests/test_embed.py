@@ -531,14 +531,19 @@ def _embeddings(case):
 @pytest.mark.parametrize("case", _EMBEDDING_CASES)
 def test_cup_proof_agrees_with_full_check(case):
     # build_embedding ran verify_embedding, which skips pairs inside one
-    # cup; the full check, on the triangles without their cup keys,
+    # cup; the full check, on the triangles without their cup ends,
     # compares every box-overlapping pair in 3D
     for e in _embeddings(case):
         verify_embedding(e)
         for i, surf in e.surfaces.items():
-            # the cup key of a wall or disk triangle is its circle's index
+            # a cup ends where the circle of the wall and disk tags changes,
+            # and every band tag comes after the last end
             kinds = [tag.partition(":") for tag in e.provenance[i]]
-            assert surf.cups == [None if kind == "band" else int(c) for kind, _, c in kinds]
+            circles = [c for kind, _, c in kinds if kind != "band"]
+            n = len(circles)
+            assert surf.cup_ends == [k for k in range(1, n + 1)
+                                     if k == n or circles[k] != circles[k - 1]]
+            assert all(kind == "band" for kind, _, _ in kinds[n:])
             PLSurface(surf.triangles).check_embedded()
 
 
@@ -622,7 +627,7 @@ def test_band_through_a_disk_is_still_caught():
     bad = dataclasses.replace(
         e,
         surfaces={1: PLSurface([[w if p == v else p for p in t] for t in surf.triangles],
-                               surf.cups)},
+                               surf.cup_ends)},
         curves={1: PLCurve([w if p == v else p for p in e.curves[1].vertices])},
     )
     with pytest.raises(NotGeneric, match="self-intersection") as err:

@@ -357,18 +357,18 @@ def test_validate_returns_rational_boundary_edges_in_order():
 
 
 def test_check_embedded_skips_pairs_within_one_cup():
-    # two crossing triangles: compared unless they carry one non-None key
+    # two crossing triangles: compared unless one cup ends after both
     t1 = (P(0, 0, 0), P(4, 0, 0), P(0, 4, 0))
     t2 = (P(1, 1, -1), P(1, 1, 1), P(2, -3, 0))
-    PLSurface([t1, t2], cups=["c", "c"]).check_embedded()
-    for cups in (None, ["c", "d"], [None, None], ["c", None]):
+    PLSurface([t1, t2], cup_ends=[2]).check_embedded()
+    for cup_ends in ((), [1], [1, 2]):
         with pytest.raises(NotGeneric):
-            PLSurface([t1, t2], cups=cups).check_embedded()
+            PLSurface([t1, t2], cup_ends=cup_ends).check_embedded()
 
 
 def test_check_embedded_matches_per_row_scan():
     # the sweep reports what the per-row scan reports, on every surface
-    # with and without its cup keys, and on the union of two surfaces of
+    # with and without its cup ends, and on the union of two surfaces of
     # one input, where the first crossing pair found names the message
     def outcome(check, surface):
         try:
@@ -405,6 +405,26 @@ def test_check_embedded_reports_the_first_crossing_pair():
     for check in (PLSurface.check_embedded, ref_check_embedded):
         with pytest.raises(NotGeneric, match=message):
             check(s)
+
+
+def test_check_embedded_reports_contacts_across_parts():
+    # crossing(x) is a flat triangle at low x = x and one crossing it at
+    # low x = x + 1.  Each cup of the first surface meets a later cup whose
+    # row has the lesser low x; the second surface crosses twice among
+    # the bands after its one cup.  Either reports its first pair in
+    # (i, j) order, not the one the sweep meets first
+    def crossing(x):
+        return ((P(x, 0, 0), P(x + 4, 0, 0), P(x, 4, 0)),
+                (P(x + 1, 1, -1), P(x + 1, 1, 1), P(x + 2, -3, 0)))
+
+    (a, b), (c, d) = crossing(100), crossing(0)
+    far = crossing(1000)[0]
+    cases = [(PLSurface([b, d, c, a], cup_ends=[1, 2, 4]), "between 0 and 3"),
+             (PLSurface([far, b, c, d, a], cup_ends=[1]), "between 1 and 4")]
+    for s, message in cases:
+        for check in (PLSurface.check_embedded, ref_check_embedded):
+            with pytest.raises(NotGeneric, match=message):
+                check(s)
 
 
 def test_box_index_padding_never_misses():
@@ -467,11 +487,6 @@ def _query_pairs(idx, other):
     return [(i, j) for i, row in enumerate(idx.arr) for j in other.query(row)]
 
 
-def _own_query_pairs(idx):
-    """The i < j part of the per-row query list of an index with itself."""
-    return [(i, j) for i, j in _query_pairs(idx, idx) if i < j]
-
-
 def test_box_pairs_match_queries_on_synthetic_rows():
     # coordinates on a 5-point grid: low x ties, boxes that touch in one
     # coordinate (overlapping or apart in the others) and zero-width rows
@@ -498,25 +513,15 @@ def test_box_pairs_match_queries_on_synthetic_rows():
         b = index([box() for _ in range(rng.randint(0, 30))] + touching[rng.randint(0, 6):])
         for x, y in ((a, b), (b, a), (a, a)):
             assert x.pairs(y) == _query_pairs(x, y)
-        for x in (a, b):
-            assert x.pairs() == _own_query_pairs(x)
     # the float ties and near misses of the exact-overlap items
     small, big = (index(items) for items in _overlap_items())
     for x, y in ((small, small), (big, big), (small, big), (big, small)):
         assert x.pairs(y) == _query_pairs(x, y)
     assert big.pairs(big) != [(i, i) for i in range(len(big.arr))]
-    assert small.pairs() == _own_query_pairs(small) != []
-    assert big.pairs() == _own_query_pairs(big) != []
     t = index(touching)
     assert t.pairs(index([])) == [] and index([]).pairs(t) == []
     own = t.pairs(t)
     assert (0, 1) in own and (0, 2) in own and (0, 3) not in own
-    # within one index: i < j only, with identical rows and low x ties
-    assert t.pairs() == _own_query_pairs(t) == [(i, j) for i, j in own if i < j]
-    twins = index(touching[:1] * 3 + touching)
-    assert twins.pairs() == _own_query_pairs(twins)
-    assert {(0, 1), (0, 2), (1, 2)} <= set(twins.pairs())
-    assert index(touching[:1]).pairs() == [] and index([]).pairs() == []
 
 
 def test_shadows_apart_on_a_vertical_wall():
@@ -553,28 +558,22 @@ def test_shadows_apart_drops_most_empty_surface_pairs():
 
 
 def test_meets_matches_query_scan():
-    # every surface's own pairs, with and without its cup keys, and every
-    # ordered pair of two surfaces of one input: the contacts the sweep
-    # yields are those of the per-row query scan
-    counts = Counter()
+    # every ordered pair of two surfaces of one input: the contacts the
+    # sweep yields are those of the per-row query scan
+    found = 0
     for name, e in _surface_cases():
         for a, F in e.surfaces.items():
-            for G, cups in ((F, True), (PLSurface(F.triangles), False)):
-                want = ref_meets(G)
-                assert list(G.meets()) == want, (name, a, cups)
-                counts[cups] += len(want)
             for b, Fb in e.surfaces.items():
                 if b != a:
                     want = ref_meets(F, Fb)
                     assert list(F.meets(Fb)) == want, (name, a, b)
-                    counts["across"] += len(want)
-    assert counts[False] > counts[True] > 0 and counts["across"] > 0
+                    found += len(want)
+    assert found > 0
     # a surface given as the other one is compared in every ordered pair,
     # each triangle with itself and within one cup too
     t1 = (P(0, 0, 0), P(4, 0, 0), P(0, 4, 0))
     t2 = (P(1, 1, -1), P(1, 1, 1), P(2, -3, 0))
-    s = PLSurface([t1, t2], cups=["c", "c"])
-    assert list(s.meets()) == []
+    s = PLSurface([t1, t2], cup_ends=[2])
     assert [(i, j) for i, j, _ in s.meets(s)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert list(s.meets(s)) == ref_meets(s, s)
 
