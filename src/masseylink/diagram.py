@@ -300,14 +300,14 @@ def build_diagram(tuples, declared_components=None, comment=""):
         groups.setdefault(find(s), []).append(s)
     comps = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
-    def nxt(arc):
-        g = groups[find(arc)]
-        bigger = [s for s in g if s > arc]
-        return min(bigger) if bigger else min(g)
+    # each arc's successor along its component, cyclically
+    succ = {}
+    for g in comps:
+        succ.update(zip(g, g[1:] + g[:1]))
 
     # under-strand transitions must follow the numbering
     for a, b, c, d in tuples:
-        if nxt(a) != c:
+        if succ[a] != c:
             raise InconsistentDiagram(
                 "under-strand at X%s does not follow arc numbering" % ((a, b, c, d),)
             )
@@ -320,8 +320,8 @@ def build_diagram(tuples, declared_components=None, comment=""):
     pending = []
     for t in tuples:
         a, b, c, d = t
-        b_ok = nxt(b) == d
-        d_ok = nxt(d) == b
+        b_ok = succ[b] == d
+        d_ok = succ[d] == b
         if b_ok and not d_ok:
             over_dir[t] = (b, d)
         elif d_ok and not b_ok:

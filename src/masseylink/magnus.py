@@ -6,6 +6,13 @@ expanded into noncommutative power series over one symbol per component
 (arc = conjugate of its component's base meridian, conjugators resolved
 iteratively up to the truncation degree), and the triple invariant is read
 off a longitude's degree-two coefficient.
+
+``milnor_mu`` truncates at degree 2, the length of the word it reads.  That
+is exact: truncation at degree n is a ring map, so the degree <= 2 part of a
+product depends only on the degree <= 2 parts of its factors, and each
+resolving round fixes one more degree of every arc series, so one round
+settles degree 2.  Each conjugator's inverse is carried along with it
+(conj * g goes with g^-1 * conj^-1), so no conjugator is inverted per arc.
 """
 
 
@@ -78,11 +85,11 @@ class TruncatedSeries:
         p = self - TruncatedSeries.one(self.degree)
         out = TruncatedSeries.one(self.degree)
         term = TruncatedSeries.one(self.degree)
-        for _ in range(self.degree):
+        for n in range(self.degree):
             term = term * p
             if not term.coeffs:
                 break
-            out = out + term if _ % 2 else out - term
+            out = out + term if n % 2 else out - term
         return out
 
     def __eq__(self, other):
@@ -117,7 +124,14 @@ def longitude_word(d, i):
 
 
 def _arc_expansions(d, degree):
-    """Magnus series of every arc generator, resolved to the given degree."""
+    """Magnus series of every arc generator, resolved to the given degree.
+
+    Each round rewrites every arc as conj^-1 * base * conj from the previous
+    round's series, which fixes one more degree, so degree - 1 rounds (at
+    least one) settle every coefficient up to the degree.  The conjugator's
+    inverse is carried next to it, and each over-arc series is inverted at
+    most once per round.
+    """
     over_pairs = {x.over_out: x.over_in for x in d.crossings}
     exp = {}
     for ci, arcs in enumerate(d.components):
@@ -126,18 +140,22 @@ def _arc_expansions(d, degree):
     under_at = {x.under_in: x for x in d.crossings}
     for _ in range(max(degree - 1, 1)):
         new = {}
+        inverses = {}
         for ci, arcs in enumerate(d.components):
             base = TruncatedSeries.generator(degree, ci + 1)
-            conj = TruncatedSeries.one(degree)
+            conj = conj_inv = TruncatedSeries.one(degree)
             for a in arcs:
-                new[a] = conj.inverse() * base * conj
+                new[a] = conj_inv * base * conj
                 x = under_at.get(a)
                 if x is not None:
                     g = exp[x.over_in]
-                    if x.sign > 0:
-                        conj = conj * g
-                    else:
-                        conj = conj * g.inverse()
+                    g_inv = inverses.get(x.over_in)
+                    if g_inv is None:
+                        g_inv = inverses[x.over_in] = g.inverse()
+                    if x.sign < 0:
+                        g, g_inv = g_inv, g
+                    conj = conj * g
+                    conj_inv = g_inv * conj_inv
         # over-strand arcs are literally the same generator
         for out_arc, in_arc in over_pairs.items():
             new[out_arc] = new[in_arc]
@@ -158,13 +176,16 @@ def longitude_series(d, i, degree=3):
     return out
 
 
-def milnor_mu(d, indices, degree=3):
+def milnor_mu(d, indices):
     """Triple Milnor invariant mu-bar(i j k) for distinct components.
 
     Defined when the three pairwise linking numbers vanish, which
     ``d.check_unlinked`` decides; the value is the coefficient of X_i X_j
-    in the truncated Magnus expansion of the k-th longitude.
+    in the Magnus expansion of the k-th longitude, truncated at degree 2,
+    the length of that word.  The truncation is exact: it is a ring map, and
+    the one resolving round run at degree 2 settles every degree-2
+    coefficient.  Conjugator inverses are carried, not recomputed per arc.
     """
     d.check_unlinked(indices, 3)
     i, j, k = indices
-    return longitude_series(d, k, degree).coefficient((i, j))
+    return longitude_series(d, k, len(indices) - 1).coefficient((i, j))

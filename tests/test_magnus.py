@@ -1,17 +1,26 @@
+import importlib.util
 import itertools
+import json
+import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from masseylink import magnus
+from masseylink.diagram import parse_pd
 from masseylink.errors import NonzeroLinking
-from masseylink.fixtures import braid_closure, clasp_family, load_fixture
+from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
 from masseylink.magnus import (
     TruncatedSeries,
     longitude_series,
     longitude_word,
     milnor_mu,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ORDERS = list(itertools.permutations((1, 2, 3)))
 
 
 # -- Wirtinger presentations ---------------------------------------------------
@@ -142,25 +151,139 @@ def test_pairwise_linking_guard(hopf):
         milnor_mu(d, (1, 2, 3))
 
 
+# -- the expansion against a per-arc-inverse reference ---------------------------
+
+
+def _ref_arc_expansions(d, degree):
+    """Magnus series of every arc generator, resolved to the given degree,
+    inverting the running conjugator from scratch at every arc."""
+    over_pairs = {x.over_out: x.over_in for x in d.crossings}
+    exp = {}
+    for ci, arcs in enumerate(d.components):
+        for a in arcs:
+            exp[a] = TruncatedSeries.generator(degree, ci + 1)
+    under_at = {x.under_in: x for x in d.crossings}
+    for _ in range(max(degree - 1, 1)):
+        new = {}
+        for ci, arcs in enumerate(d.components):
+            base = TruncatedSeries.generator(degree, ci + 1)
+            conj = TruncatedSeries.one(degree)
+            for a in arcs:
+                new[a] = conj.inverse() * base * conj
+                x = under_at.get(a)
+                if x is not None:
+                    g = exp[x.over_in]
+                    if x.sign > 0:
+                        conj = conj * g
+                    else:
+                        conj = conj * g.inverse()
+        for out_arc, in_arc in over_pairs.items():
+            new[out_arc] = new[in_arc]
+        exp = new
+    return exp
+
+
+def _free_reduce(word):
+    out = []
+    for g in word:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def _zero_linking_closures(count=24, seed=20261020):
+    """Seeded pure 3-braid closures of 12-60 crossings with zero pairwise
+    linking: conjugated pure generators, each shuffled in with its inverse."""
+    rng = random.Random(seed)
+    pure = ((1, 1), (2, 2), (2, 1, 1, -2))
+    out = []
+    while len(out) < count:
+        tokens = []
+        for _ in range(rng.randint(2, 8)):
+            c = rng.choice((1, -1, 2, -2))
+            tok = (c,) + rng.choice(pure) + (-c,)
+            tokens += [tok, tuple(-g for g in reversed(tok))]
+        rng.shuffle(tokens)
+        word = _free_reduce(sum(tokens, ()))
+        if 12 <= len(word) <= 60:
+            out.append(braid_closure(word, 3))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=10)
+       .filter(lambda w: any(g < 0 for g in w)))
+def test_carried_inverse_matches_reference_on_closures(word):
+    d = braid_closure(tuple(word), 3)
+    for degree in (2, 3):
+        assert magnus._arc_expansions(d, degree) == _ref_arc_expansions(d, degree)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_carried_inverse_matches_reference_on_fixtures(name):
+    d = load_fixture(name)
+    for degree in (2, 3):
+        assert magnus._arc_expansions(d, degree) == _ref_arc_expansions(d, degree)
+
+
+def _three_unlinked(d):
+    return d.n_components == 3 and not any(
+        d.linking_number(a, b) for a, b in ((1, 2), (2, 3), (1, 3)))
+
+
+def test_degree_two_mu_matches_degree_three_reference(monkeypatch):
+    closures = _zero_linking_closures()
+    assert all(map(_three_unlinked, closures))
+    assert any(milnor_mu(d, (1, 2, 3)) for d in closures)
+    fixtures = [d for d in map(load_fixture, fixture_names()) if _three_unlinked(d)]
+    for d in fixtures + [clasp_family(k) for k in (1, 2, 3)] + closures:
+        with monkeypatch.context() as m:
+            m.setattr(magnus, "_arc_expansions", _ref_arc_expansions)
+            ref = {k: longitude_series(d, k, 3) for k in (1, 2, 3)}
+        for i, j, k in ORDERS:
+            assert milnor_mu(d, (i, j, k)) == ref[k].coefficient((i, j)), (d, (i, j, k))
+
+
+def test_oracle_reproduces_recorded_pool_values():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    recorded = json.loads((PERFBENCH / "expected.json").read_text())["oracle_pool"]
+    pool = inputs.oracle_pool()
+    assert inputs.pool_digest(pool) == recorded["digest"]
+    got = [[milnor_mu(parse_pd(d.pd), (1, 2, 3)) for d in row] for row in pool]
+    assert got == recorded["mu123"]
+
+
 # -- truncated series algebra ----------------------------------------------------
 
 small = st.integers(-2, 2)
 words = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
-series = st.dictionaries(words, small, max_size=5).map(
-    lambda d: TruncatedSeries(3, d) + TruncatedSeries.one(3)
-)
+degrees = st.sampled_from((2, 3))
+
+
+def series(degree, count):
+    """`count` series at one truncation degree, each with constant term 1."""
+    one = st.dictionaries(words, small, max_size=5).map(
+        lambda d: TruncatedSeries(degree, d) + TruncatedSeries.one(degree)
+    )
+    return st.tuples(*[one] * count)
 
 
 @settings(max_examples=60, deadline=None)
-@given(series, series, series)
-def test_series_multiplication_associative(a, b, c):
+@given(degrees.flatmap(lambda n: series(n, 3)))
+def test_series_multiplication_associative(abc):
+    a, b, c = abc
     assert (a * b) * c == a * (b * c)
 
 
 @settings(max_examples=60, deadline=None)
-@given(series)
-def test_series_inverse(a):
-    one = TruncatedSeries.one(3)
+@given(degrees.flatmap(lambda n: series(n, 1)))
+def test_series_inverse(series_1):
+    (a,) = series_1
+    one = TruncatedSeries.one(a.degree)
     assert a * a.inverse() == one
     assert a.inverse() * a == one
 
