@@ -258,9 +258,8 @@ def diagram_from_json(doc):
         raise MalformedCode("'components' must be an integer")
     tuples = []
     for row in doc["crossings"]:
-        if not (isinstance(row, list) and len(row) == 4
-                and all(_is_int(v) and v > 0 for v in row)):
-            raise MalformedCode("each crossing must be 4 positive integers")
+        if not (isinstance(row, list) and len(row) == 4 and all(map(_is_int, row))):
+            raise MalformedCode("each crossing must be 4 integers")
         tuples.append(tuple(row))
     return build_diagram(
         tuples,
@@ -271,6 +270,8 @@ def diagram_from_json(doc):
 
 def build_diagram(tuples, declared_components=None, comment=""):
     """Validate raw PD tuples and build a LinkDiagram."""
+    if any(s <= 0 for t in tuples for s in t):
+        raise MalformedCode("arc labels must be positive integers")
     counts = {}
     for t in tuples:
         for s in t:

@@ -4,8 +4,8 @@ The diagram's rotation system (PD slots counterclockwise) fixes a
 combinatorial map; its faces give the planarity test.  Node positions are
 integers from the shift method on the map's stellated triangulation, so
 the drawing is planar with the diagram's rotation by construction; one
-integer scale then gives the clearances, and one exact check (segment
-disjointness, slot order, clearances) confirms the result.
+exact check (distinct positions, planarity, slot order) confirms it, and
+one integer scale makes the clearances follow from it.
 
 Each crossing is finished on its own arms: every arm is cut where it
 leaves a small bulged diamond around the crossing vertex, and the two
@@ -24,11 +24,10 @@ which is never zero, and at the axis points the tangent turns left, with
 a cross product of 1 > 0.  So the four arms of a crossing, in distinct
 counterclockwise directions as `_verify_positions` guarantees, leave it
 at four points in strictly convex position, and the chords cross at one
-point inside both.  Each arm ray leaves the curve once, so an arc's first
-segment meets the gadget only at its own exit; the gadget lies within
-9/8 r of its crossing, so the clearances checked on the grid keep every
-other arc and gadget away.  Nothing is rounded: every coordinate is
-exact.
+point inside both, with no further check.  Each arm ray leaves the curve
+once, so an arc's first segment meets the gadget only at its own exit;
+the gadget lies within 9/8 r of its crossing, so the clearances the
+scale gives keep every other arc and gadget away.  Nothing is rounded.
 """
 
 from dataclasses import dataclass
@@ -37,9 +36,8 @@ from .errors import EmbeddingDegenerate, NonRealizable
 from .plgeom import orient2
 from .rational import Q
 
-# grid clearance requirement (euclidean, and squared)
+# grid clearance in scaled grid units (see _verify_positions)
 _MIN_CLEAR = 8
-_MIN_CLEAR2 = _MIN_CLEAR * _MIN_CLEAR
 
 
 # ---------------------------------------------------------------------------
@@ -140,20 +138,6 @@ def polygon_area2(poly):
         a, b = poly[i], poly[(i + 1) % len(poly)]
         s += a[0] * b[1] - a[1] * b[0]
     return s
-
-
-def _too_close(p, a, b):
-    """Is the integer point p nearer than sqrt(_MIN_CLEAR2) to segment ab?"""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    px, py = p[0] - a[0], p[1] - a[1]
-    dot, len2 = px * dx + py * dy, dx * dx + dy * dy
-    if dot <= 0:
-        return px * px + py * py < _MIN_CLEAR2
-    if dot >= len2:
-        qx, qy = p[0] - b[0], p[1] - b[1]
-        return qx * qx + qy * qy < _MIN_CLEAR2
-    # the foot lies inside: squared distance is cross**2 / len2
-    return (dx * py - dy * px) ** 2 < _MIN_CLEAR2 * len2
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +303,19 @@ def _grid_positions(rot, faces, outer):
 
 
 def _verify_positions(d, arcs, rot, pos):
-    """Exact validity check of grid positions; returns chirality or None."""
+    """Are the scaled grid positions distinct, with no two arc segments
+    touching and every crossing's slots counterclockwise?
+
+    Then the clearances hold at the scale _MIN_CLEAR * max(2, ceil(L_max)),
+    L_max the longest edge before scaling.  A lattice point off a lattice
+    segment of length L lies at least 1/L from it (foot inside: a nonzero
+    integer cross product over L; else a distinct lattice end, 1 away),
+    and a centre on a segment it does not end would make its own segments
+    touch that one.  So each centre lies _MIN_CLEAR or more from every
+    segment it does not end, and stubs and centre spacings 2 _MIN_CLEAR.
+    """
     if len(set(pos.values())) != len(pos):
-        return None
+        return False
     # arc polylines in grid coordinates; positions are distinct, so no
     # segment is degenerate
     segs = []
@@ -330,60 +324,14 @@ def _verify_positions(d, arcs, rot, pos):
         path = [pos[("x", xo)], pos[("s", arc, 0)], pos[("s", arc, 1)], pos[("x", xi)]]
         segs += zip(path, path[1:])
     if segments_touch(segs):
-        return None
-    crossing_nodes = [u for u in rot if u[0] == "x"]
-    if not _centers_clear([pos[node] for node in crossing_nodes], segs):
-        return None
-    for node in crossing_nodes:
-        X = pos[node]
-        # incident arm stubs long enough for the diamond
-        for nbr in rot[node]:
-            p = pos[nbr]
-            d2 = (p[0] - X[0]) ** 2 + (p[1] - X[1]) ** 2
-            if d2 < _MIN_CLEAR2:
-                return None
-    # crossing centers far apart
-    xs = [pos[node] for node in crossing_nodes]
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            d2 = (xs[i][0] - xs[j][0]) ** 2 + (xs[i][1] - xs[j][1]) ** 2
-            if d2 < 4 * _MIN_CLEAR2:
-                return None
-
-    # slot order around each crossing: counterclockwise (+1) or clockwise (-1)
-    chirality = None
-    for node in crossing_nodes:
-        X = pos[node]
-        dirs = []
-        for k in range(4):
-            p = pos[rot[node][k]]
-            dirs.append((p[0] - X[0], p[1] - X[1]))
-        order = _cyclic_order(dirs)
-        if order is None:
-            return None
-        if order != chirality and chirality is not None:
-            return None
-        chirality = order
-    return chirality or 1
-
-
-def _centers_clear(centers, segs):
-    """Is every center at least sqrt(_MIN_CLEAR2) from each segment that
-    it is not an end of?
-
-    A center at least _MIN_CLEAR outside a segment's x or y range is at
-    least that far from it, so only the centers strictly inside the
-    segment's box widened by _MIN_CLEAR go to ``_too_close``.
-    """
-    boxes = [(min(a[0], b[0]) - _MIN_CLEAR, max(a[0], b[0]) + _MIN_CLEAR,
-              min(a[1], b[1]) - _MIN_CLEAR, max(a[1], b[1]) + _MIN_CLEAR, a, b)
-             for a, b in segs]
-    for X in centers:
-        x, y = X
-        for x0, x1, y0, y1, a, b in boxes:
-            if (x0 < x < x1 and y0 < y < y1 and X != a and X != b
-                    and _too_close(X, a, b)):
-                return False
+        return False
+    # four arms in distinct directions, counterclockwise in slot order:
+    # their chords then cross (module docstring)
+    for u, nbrs in rot.items():
+        X = pos[u]
+        if u[0] == "x" and _cyclic_order([(pos[v][0] - X[0], pos[v][1] - X[1])
+                                           for v in nbrs]) != 1:
+            return False
     return True
 
 
@@ -571,9 +519,8 @@ def draw_diagram(d, grid_scale=1):
         split = _split_repeated_faces(rot)
         faces = _trace_faces(split)
         pos = _grid_positions(split, faces, min(faces, key=face_key))
-        # a lattice point off a lattice segment of length L lies at least
-        # 1/L from it and distinct lattice points lie 1 apart, so scaling
-        # by _MIN_CLEAR * max(2, ceil(L_max)) gives every clearance
+        # at the scale _MIN_CLEAR * max(2, ceil(L_max)) the clearances
+        # follow from the exact check (_verify_positions)
         longest2 = max(
             (pos[u][0] - pos[v][0]) ** 2 + (pos[u][1] - pos[v][1]) ** 2
             for u in rot for v in rot[u]
@@ -583,7 +530,7 @@ def draw_diagram(d, grid_scale=1):
             ceil_len += 1
         s = _MIN_CLEAR * ceil_len
         pos = {u: (s * p[0], s * p[1]) for u, p in pos.items()}
-        if _verify_positions(d, arcs, rot, pos) != 1:
+        if not _verify_positions(d, arcs, rot, pos):
             raise EmbeddingDegenerate("grid drawing failed its exact check")
 
         # shift into this piece's band (its x starts at 0) and scale
@@ -592,7 +539,7 @@ def draw_diagram(d, grid_scale=1):
         offset_x += (max(p[0] for p in pos.values()) + margin) * unit
 
     # the chords of every crossing join the points where its arms leave
-    # the diamond
+    # the diamond; they cross by the slot order (module docstring)
     for idx, x in enumerate(d.crossings):
         X = all_pos[("x", idx)]
         exits = []
@@ -602,8 +549,6 @@ def draw_diagram(d, grid_scale=1):
         under = (exits[0], exits[2])
         over = (exits[d.arc_ends[x.over_in][1][1]], exits[d.arc_ends[x.over_out][0][1]])
         Y = seg2_intersection(*under, *over)
-        if not (_strictly_between(*under, Y) and _strictly_between(*over, Y)):
-            raise EmbeddingDegenerate("chords of crossing %d do not cross" % idx)
         tU, tO = _chord_param(under, Y), _chord_param(over, Y)
         lam = min(tU, 1 - tU) / 4
         stations[idx] = CrossingStations(

@@ -450,7 +450,7 @@ class PLCurve:
 
     @cached_property
     def index(self):
-        return BoxIndex(self.lifted)
+        return BoxIndex([_box_row(it) for it in self.lifted])
 
     def locate(self, p):
         """Position (seg_index + t in [0,1)) of p on the curve, or None.
@@ -529,7 +529,7 @@ class PLSurface:
         self.cup_ends = list(cup_ends)
         self.lifted = [int_triangle(t) for t in self.triangles]
         self.planes = [_plane(it.verts) for it in self.lifted]
-        self.index = BoxIndex(self.lifted)
+        self.index = BoxIndex([_box_row(it) for it in self.lifted])
 
     def __len__(self):
         return len(self.triangles)
@@ -581,7 +581,7 @@ class PLSurface:
         against itself.  Triangles may share vertices/edges (mesh adjacency);
         any other contact raises NotGeneric, first pair in (i, j) order."""
         cuts = [0, *self.cup_ends, len(self)]
-        parts = [(lo, BoxIndex(self.lifted[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+        parts = [(lo, BoxIndex(self.index.arr[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
         lo, idx = parts[-1]
         pairs = [(lo + i, lo + j) for i, j in idx.pairs(idx) if i < j]
         for k, (lo, idx) in enumerate(parts):
@@ -657,8 +657,10 @@ def _box_row(item):
 class BoxIndex:
     """Float bounding-box prefilter over lifted triangles or segments.
 
-    ``arr`` holds one float row (lo x, y, z, hi x, y, z) per item, in item
-    order.  ``pairs`` of two indexes is the one way the package finds
+    ``arr`` is the list of float rows (lo x, y, z, hi x, y, z) it is made
+    from, one ``_box_row`` per item in item order; the owners, ``PLCurve``
+    and ``PLSurface``, compute each row once, and ``check_embedded`` slices
+    them.  ``pairs`` of two indexes is the one way the package finds
     candidate pairs, for ``PLSurface.meets`` and ``check_embedded`` too;
     ``query``, a scan of every row against one box, is what it must equal.
     No pair whose exact boxes overlap is missed, at any scale: min(ints) /
@@ -668,8 +670,8 @@ class BoxIndex:
     callers confirm every candidate exactly.
     """
 
-    def __init__(self, items):
-        self.arr = [_box_row(it) for it in items]
+    def __init__(self, rows):
+        self.arr = rows
         # rows by low x, sorted once; pairs bisects them
         self._by_x = sorted(enumerate(self.arr), key=lambda r: r[1][0])
         self._x0 = [row[0] for _, row in self._by_x]

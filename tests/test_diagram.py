@@ -81,6 +81,17 @@ def test_malformed_pd():
         parse_pd("frogs")
 
 
+@pytest.mark.parametrize("code", [
+    "X(0,1,1,0)",
+    '{"crossings": [[0, 1, 1, 0]]}',
+    '{"crossings": [[-1, 2, 2, -1]]}',
+], ids=["tuples", "json", "json negative"])
+def test_both_pd_forms_refuse_nonpositive_labels(code):
+    # one label rule for both forms, in build_diagram
+    with pytest.raises(MalformedCode, match="arc labels must be positive"):
+        parse_pd(code)
+
+
 def test_inconsistent_label_count():
     with pytest.raises(InconsistentDiagram):
         parse_pd("X(1,1,1,2), X(2,3,3,4)")

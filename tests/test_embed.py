@@ -2,23 +2,22 @@ import dataclasses
 import json
 import random
 import re
-from collections import Counter
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from masseylink.diagram import parse_pd
 from masseylink.drawing import (
     _DIAMOND,
-    _MIN_CLEAR2,
-    _centers_clear,
+    _MIN_CLEAR,
     _cyclic_order,
     _diamond_exit,
     _on_seg2,
     _strictly_between,
-    _too_close,
+    _verify_positions,
     draw_diagram,
     point_in_polygon,
     seg2_intersection,
@@ -250,147 +249,148 @@ def _pieces_with_crossings(d):
     return len(groups)
 
 
+def _checked_layouts(monkeypatch, diagrams):
+    """(d, arcs, rot, pos) of every layout that draw_diagram checks while
+    drawing the diagrams, in the order checked."""
+    import masseylink.drawing as drawing
+
+    calls = []
+    monkeypatch.setattr(drawing, "_verify_positions",
+                        lambda *args: calls.append(args) or _verify_positions(*args))
+    for d in diagrams:
+        draw_diagram(d)
+    return calls
+
+
 def test_one_exact_layout_check_per_piece(monkeypatch):
     # the grid layout is planar by construction: its single exact check
     # per piece with crossings must pass, with no retry behind it
-    import masseylink.drawing as drawing
-
-    real = drawing._verify_positions
-    results = []
-    monkeypatch.setattr(drawing, "_verify_positions",
-                        lambda *args: results.append(real(*args)) or results[-1])
     diagrams = (
         [(name, load_fixture(name)) for name in fixture_names()]
         + [(k, clasp_family(k)) for k in (1, 2, 3, 4)]
         + [(w, braid_closure(w, 3)) for w in _zero_linking_words(16, seed=424242)]
     )
     for name, d in diagrams:
-        results.clear()
-        draw_diagram(d)
-        assert results == [1] * _pieces_with_crossings(d), name
+        calls = _checked_layouts(monkeypatch, [d])
+        assert len(calls) == _pieces_with_crossings(d), name
+        assert all(_verify_positions(*args) is True for args in calls), name
 
 
-def _ref_verify_positions(d, arcs, rot, pos):
-    """drawing._verify_positions with the unfiltered clearance scan: every
-    crossing center against every segment not incident to it."""
-    if len(set(pos.values())) != len(pos):
-        return None
+def _layout_segments(d, arcs, pos):
     segs = []
     for arc in arcs:
         (xo, _), (xi, _) = d.arc_ends[arc]
         path = [pos[("x", xo)], pos[("s", arc, 0)], pos[("s", arc, 1)], pos[("x", xi)]]
         segs += zip(path, path[1:])
-    if segments_touch(segs):
-        return None
-    crossing_nodes = [u for u in rot if u[0] == "x"]
-    for node in crossing_nodes:
-        X = pos[node]
-        for a, b in segs:
-            if X not in (a, b) and _too_close(X, a, b):
-                return None
-        for nbr in rot[node]:
-            p = pos[nbr]
-            if (p[0] - X[0]) ** 2 + (p[1] - X[1]) ** 2 < _MIN_CLEAR2:
-                return None
-    xs = [pos[node] for node in crossing_nodes]
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if (xs[i][0] - xs[j][0]) ** 2 + (xs[i][1] - xs[j][1]) ** 2 < 4 * _MIN_CLEAR2:
-                return None
-    chirality = None
-    for node in crossing_nodes:
-        X = pos[node]
-        order = _cyclic_order([(pos[rot[node][k]][0] - X[0], pos[rot[node][k]][1] - X[1])
-                               for k in range(4)])
-        if order is None or (order != chirality and chirality is not None):
-            return None
-        chirality = order
-    return chirality or 1
+    return segs
 
 
-def test_clearance_box_reject_matches_unfiltered_scan():
-    # one center against one segment, on a grid small enough that the
-    # widened boxes' edges and every branch of _too_close come up often
-    rng = random.Random("centers-clear")
-    seen = Counter()
-    for _ in range(20000):
-        a, b, X = [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(3)]
-        if a == b:
-            continue
-        want = X in (a, b) or not _too_close(X, a, b)
-        assert _centers_clear([X], [(a, b)]) == want, (X, a, b)
-        seen[want] += 1
-    assert min(seen.values()) > 2000, seen
+def _too_close(p, a, b, clear2):
+    """Is the integer point p nearer than sqrt(clear2) to segment ab?"""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    px, py = p[0] - a[0], p[1] - a[1]
+    dot, len2 = px * dx + py * dy, dx * dx + dy * dy
+    if dot <= 0:
+        return px * px + py * py < clear2
+    if dot >= len2:
+        qx, qy = p[0] - b[0], p[1] - b[1]
+        return qx * qx + qy * qy < clear2
+    # the foot lies inside: squared distance is cross**2 / len2
+    return (dx * py - dy * px) ** 2 < clear2 * len2
 
 
-def test_clearance_box_reject_keeps_every_verdict(monkeypatch):
-    # the layouts draw_diagram checks, at their own scale and at smaller
-    # ones, where the clearances start to fail
-    import masseylink.drawing as drawing
+def _clearances_hold(d, arcs, rot, pos):
+    """The unfiltered clearance scan, at the bounds the grid scale proves:
+    every crossing centre at least _MIN_CLEAR from every segment it does
+    not end, and every arm stub and any two centres at least 2 _MIN_CLEAR
+    long or apart."""
+    clear2 = _MIN_CLEAR * _MIN_CLEAR
 
-    real = drawing._verify_positions
-    calls = []
-    monkeypatch.setattr(drawing, "_verify_positions",
-                        lambda *args: calls.append(args) or real(*args))
+    def far(p, q):
+        return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= 4 * clear2
+
+    centres = [u for u in rot if u[0] == "x"]
+    return (
+        all(pos[u] in (a, b) or not _too_close(pos[u], a, b, clear2)
+            for u in centres for a, b in _layout_segments(d, arcs, pos))
+        and all(far(pos[u], pos[v]) for u in centres for v in rot[u])
+        and all(far(pos[u], pos[v]) for u, v in combinations(centres, 2))
+    )
+
+
+def test_checked_layouts_keep_every_clearance(monkeypatch):
+    # the clearances are not checked in the package: the scale proves them
     diagrams = (
         [load_fixture(name) for name in fixture_names()]
         + [clasp_family(k) for k in range(1, 9)]
         + [braid_closure(w, 3) for w in _zero_linking_words(16, seed=424242)]
     )
-    for d in diagrams:
-        draw_diagram(d)
-    verdicts = Counter()
+    calls = _checked_layouts(monkeypatch, diagrams)
+    refused = 0
     for d, arcs, rot, pos in calls:
+        assert _clearances_hold(d, arcs, rot, pos), d.comment
+        # the same layout at scale _MIN_CLEAR alone: the scan can refuse
         g = gcd(*(c for p in pos.values() for c in p))
-        for t in (g, 3, 5, 7, 8, 9):
-            scaled = {u: (x // g * t, y // g * t) for u, (x, y) in pos.items()}
-            want = _ref_verify_positions(d, arcs, rot, scaled)
-            assert real(d, arcs, rot, scaled) == want, (d, t)
-            verdicts[want] += 1
-    assert verdicts[1] > len(calls) and verdicts[None] > len(calls), verdicts
+        small = {u: (x // g * _MIN_CLEAR, y // g * _MIN_CLEAR) for u, (x, y) in pos.items()}
+        assert _verify_positions(d, arcs, rot, small)
+        refused += not _clearances_hold(d, arcs, rot, small)
+    assert refused > len(calls) // 2, (refused, len(calls))
 
 
 def _dist2_point_seg_fraction(p, a, b):
-    """Reference: the Fraction-valued point-segment distance the integer
-    clearance test replaced."""
+    """Exact squared distance from point p to segment ab, in Fractions."""
     dx, dy = b[0] - a[0], b[1] - a[1]
     px, py = p[0] - a[0], p[1] - a[1]
-    dd = dx * dx + dy * dy
-    if dd == 0:
-        return px * px + py * py
-    t = Q(px * dx + py * dy, dd)
-    if t < 0:
-        t = Q(0)
-    elif t > 1:
-        t = Q(1)
+    t = min(max(Q(px * dx + py * dy, dx * dx + dy * dy), Q(0)), Q(1))
     ex, ey = px - t * dx, py - t * dy
     return ex * ex + ey * ey
 
 
-def test_integer_clearance_matches_fraction_distance():
-    rng = random.Random(1407)
-    seen = set()
-    for _ in range(400):
-        a = (rng.randint(-12, 12), rng.randint(-12, 12))
-        b = (rng.randint(-12, 12), rng.randint(-12, 12))
-        if a == b:
-            continue
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        m = rng.randint(-3, 3)
-        points = [
-            (rng.randint(-20, 20), rng.randint(-20, 20)),
-            a, b,                                              # distance 0
-            (a[0] + m * dx, a[1] + m * dy),                    # on the line
-            (a[0] - m * dy, a[1] + m * dx),                    # foot on a
-            (b[0] - m * dy, b[1] + m * dx),                    # foot on b
-        ]
-        if dx % 2 == 0 and dy % 2 == 0:
-            points.append((a[0] + dx // 2, a[1] + dy // 2))    # on the segment
-        for p in points:
-            ref = _dist2_point_seg_fraction(p, a, b)
-            assert _too_close(p, a, b) == (ref < _MIN_CLEAR2), (p, a, b)
-            seen.add((ref > _MIN_CLEAR2) - (ref < _MIN_CLEAR2))
-    assert seen == {-1, 0, 1}
+_lattice_point = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lattice_point, _lattice_point, _lattice_point)
+def test_lattice_point_off_a_segment_clears_the_scale(a, b, p):
+    # the lemma behind the dropped clearance checks: a lattice point off
+    # a lattice segment of length L lies at least 1/L from it
+    assume(a != b and not _on_seg2(a, b, p))
+    len2 = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+    ceil_len = isqrt(len2 - 1) + 1
+    s = _MIN_CLEAR * max(2, ceil_len)
+    a, b, p = [(s * x, s * y) for x, y in (a, b, p)]
+    assert _dist2_point_seg_fraction(p, a, b) >= _MIN_CLEAR * _MIN_CLEAR
+    assert not _too_close(p, a, b, _MIN_CLEAR * _MIN_CLEAR)
+
+
+def test_layout_check_refuses_each_broken_fact(monkeypatch, borromean):
+    (layout,) = _checked_layouts(monkeypatch, [borromean])
+    d, arcs, rot, pos = layout
+    assert _verify_positions(*layout)
+
+    def slot_orders(q):
+        return {_cyclic_order([(q[v][0] - q[u][0], q[v][1] - q[u][1]) for v in rot[u]])
+                for u in rot if u[0] == "x"}
+
+    # a repeated position
+    u, v = sorted(pos)[:2]
+    assert not _verify_positions(d, arcs, rot, {**pos, u: pos[v]})
+    # two subdivision nodes swapped so that arc segments cross; some of
+    # these swaps keep every slot order, so the planarity test alone
+    # refuses them
+    subs = sorted(u for u in rot if u[0] == "s")
+    planarity_only = 0
+    for u, v in combinations(subs, 2):
+        swapped = {**pos, u: pos[v], v: pos[u]}
+        if segments_touch(_layout_segments(d, arcs, swapped)):
+            assert not _verify_positions(d, arcs, rot, swapped), (u, v)
+            planarity_only += slot_orders(swapped) == {1}
+    assert planarity_only > 0
+    # the mirror image: planar, but every crossing clockwise
+    mirror = {u: (-x, y) for u, (x, y) in pos.items()}
+    assert not segments_touch(_layout_segments(d, arcs, mirror))
+    assert slot_orders(mirror) == {-1}
+    assert not _verify_positions(d, arcs, rot, mirror)
 
 
 # -- Seifert structure -------------------------------------------------------

@@ -16,6 +16,7 @@ from masseylink.plgeom import (
     BoxIndex,
     PLCurve,
     PLSurface,
+    _box_row,
     _common,
     _crossing,
     _edge_planes,
@@ -429,7 +430,7 @@ def test_check_embedded_reports_contacts_across_parts():
 
 def test_box_index_padding_never_misses():
     disk = _disk()
-    idx = BoxIndex(disk.lifted)
+    idx = disk.index
     assert set(idx.query(bbox([v for t in disk.triangles for v in t]))) == {0, 1}
 
 
@@ -471,7 +472,7 @@ def _overlap_items():
 def test_box_index_query_matches_exact_overlap():
     small, big = _overlap_items()
     for items, exact_in_float in ((small, True), (big, False)):
-        idx = BoxIndex([lift(it) for it in items])
+        idx = BoxIndex([_box_row(lift(it)) for it in items])
         for q in items:
             qbox = (*q[0], *q[1])
             exact = {i for i, it in enumerate(items) if _exact_overlap((*it[0], *it[1]), qbox)}
@@ -506,7 +507,7 @@ def test_box_pairs_match_queries_on_synthetic_rows():
         (P(1, 1, 0), P(1, 1, 5)),       # zero width in x and y
     ]
     def index(items):
-        return BoxIndex([lift(it) for it in items])
+        return BoxIndex([_box_row(lift(it)) for it in items])
 
     for _ in range(40):
         a = index([box() for _ in range(rng.randint(0, 30))] + touching[:rng.randint(0, 6)])
