@@ -161,7 +161,7 @@ class OrderedComplex:
     """Simplicial complex on totally ordered vertices 0..n-1; simplices are
     strictly increasing index tuples."""
 
-    def __init__(self, maximal, n_vertices=None, labels=None):
+    def __init__(self, maximal, n_vertices=None):
         by_dim = {}
         seen = set()
 
@@ -181,12 +181,10 @@ class OrderedComplex:
                 raise ValueError("degenerate simplex %r" % (s,))
             add(t)
         self._simplices = {d: sorted(ss) for d, ss in by_dim.items()}
-        self._sets = {d: set(ss) for d, ss in self._simplices.items()}
         self.dim = max(self._simplices) if self._simplices else -1
         if n_vertices is None:
             n_vertices = max((v for s in seen for v in s), default=-1) + 1
         self.n_vertices = n_vertices
-        self.labels = labels
 
     def simplices(self, d):
         return self._simplices.get(d, [])
@@ -195,10 +193,6 @@ class OrderedComplex:
         for d in sorted(self._simplices):
             for s in self._simplices[d]:
                 yield s
-
-    def has(self, s):
-        s = tuple(s)
-        return s in self._sets.get(len(s) - 1, ())
 
     def counts(self):
         return {d: len(ss) for d, ss in self._simplices.items()}

@@ -129,9 +129,9 @@ def _cmd_seifert(args):
         per.append(
             {
                 "component": i,
-                "circles": len(sti.circles_of(i)),
-                "bands": len(sti.bands_of(i)),
-                "euler": sti.euler_characteristic(i),
+                "circles": len(sti.circles),
+                "bands": len(sti.bands),
+                "euler": len(sti.circles) - len(sti.bands),
             }
         )
     _emit(

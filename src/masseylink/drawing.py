@@ -5,7 +5,9 @@ combinatorial map; its faces give the planarity test.  Node positions are
 integers from the shift method on the map's stellated triangulation, so
 the drawing is planar with the diagram's rotation by construction; one
 exact check (distinct positions, planarity, slot order) confirms it, and
-one integer scale makes the clearances follow from it.
+one integer scale makes the clearances follow from it.  Its planarity
+part, ``segments_touch``, takes its candidate pairs from
+``plgeom.BoxIndex.pairs`` like every other pair check.
 
 Each crossing is finished on its own arms: every arm is cut where it
 leaves a small bulged diamond around the crossing vertex, and the two
@@ -33,7 +35,7 @@ scale gives keep every other arc and gadget away.  Nothing is rounded.
 from dataclasses import dataclass
 
 from .errors import EmbeddingDegenerate, NonRealizable
-from .plgeom import orient2
+from .plgeom import BoxIndex, orient2
 from .rational import Q
 
 # grid clearance in scaled grid units (see _verify_positions)
@@ -70,36 +72,39 @@ def _strictly_between(a, b, p):
 
 
 def segments_touch(segs):
-    """Do two of the closed segments (a, b) meet anywhere other than in one
-    common endpoint?
+    """Do two of the closed segments (a, b) of integer points meet anywhere
+    other than in one common endpoint?
 
-    A sweep in x: with the segments sorted by least x, each is compared
-    only with the later ones whose x range starts within its own and whose
-    y range meets its own.
+    The candidate pairs i < j are those whose float boxes, at z = 0,
+    ``BoxIndex.pairs`` finds overlapping.  Every coordinate is shifted
+    right by one amount that keeps it in float range; a shift, like the
+    rounding after it, is monotone, so no overlapping pair is lost.
     """
-    boxes = sorted(
-        ((min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]), a, b)
-         for a, b in segs),
-        key=lambda box: box[0],
-    )
-    for i, (_, x1, y0, y1, a, b) in enumerate(boxes):
-        for j in range(i + 1, len(boxes)):
-            u0, _, v0, v1, c, d = boxes[j]
-            if u0 > x1:
-                break
-            if v0 > y1 or v1 < y0:
-                continue
-            shared = {a, b} & {c, d}
-            if len(shared) > 1:
+    segs = list(segs)
+    bits = max((abs(c).bit_length() for seg in segs for p in seg for c in p), default=0)
+    shift = max(0, bits - 1000)
+
+    def row(a, b):
+        lo = [float(min(u, v) >> shift) for u, v in zip(a, b)]
+        hi = [float(max(u, v) >> shift) for u, v in zip(a, b)]
+        return (*lo, 0.0, *hi, 0.0)
+
+    index = BoxIndex([row(a, b) for a, b in segs])
+    for i, j in index.pairs(index):
+        if i >= j:
+            continue
+        (a, b), (c, d) = segs[i], segs[j]
+        shared = {a, b} & {c, d}
+        if len(shared) > 1:
+            return True
+        if shared:
+            # one common endpoint: neither segment may hold another
+            # point of the other
+            if any(_strictly_between(u, v, q)
+                   for u, v, q in ((a, b, c), (a, b, d), (c, d, a), (c, d, b))):
                 return True
-            if shared:
-                # one common endpoint: neither segment may hold another
-                # point of the other
-                if any(_strictly_between(u, v, q)
-                       for u, v, q in ((a, b, c), (a, b, d), (c, d, a), (c, d, b))):
-                    return True
-            elif seg2_properly_intersect(a, b, c, d):
-                return True
+        elif seg2_properly_intersect(a, b, c, d):
+            return True
     return False
 
 
@@ -329,20 +334,21 @@ def _verify_positions(d, arcs, rot, pos):
     # their chords then cross (module docstring)
     for u, nbrs in rot.items():
         X = pos[u]
-        if u[0] == "x" and _cyclic_order([(pos[v][0] - X[0], pos[v][1] - X[1])
-                                           for v in nbrs]) != 1:
+        if u[0] == "x" and not _counterclockwise(
+                [(pos[v][0] - X[0], pos[v][1] - X[1]) for v in nbrs]):
             return False
     return True
 
 
-def _cyclic_order(dirs):
-    """+1 if the four directions appear in CCW order 0,1,2,3; -1 if CW."""
+def _counterclockwise(dirs):
+    """Do the four directions point distinct ways, in counterclockwise
+    order 0, 1, 2, 3?"""
     # two arms pointing exactly the same way cannot be ordered
     for i in range(4):
         for j in range(i + 1, 4):
             u, v = dirs[i], dirs[j]
             if u[0] * v[1] - u[1] * v[0] == 0 and u[0] * v[0] + u[1] * v[1] > 0:
-                return None
+                return False
 
     def half(v):
         return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
@@ -359,13 +365,8 @@ def _cyclic_order(dirs):
         while j < len(order) and less(dirs[order[j]], dirs[i]):
             j += 1
         order.insert(j, i)
-    for s in range(4):
-        rolled = order[s:] + order[:s]
-        if rolled == [0, 1, 2, 3]:
-            return 1
-        if rolled == [0, 3, 2, 1]:
-            return -1
-    return None
+    k = order.index(0)
+    return order[k:] + order[:k] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,6 @@ def _chord_param(chord, p):
 
 @dataclass(frozen=True)
 class Drawing:
-    diagram: object
     scale: object                 # rational multiplier from grid ints
     arc_paths: dict               # arc -> list of 2D rational points
     stations: tuple               # one CrossingStations per crossing
@@ -571,7 +571,6 @@ def draw_diagram(d, grid_scale=1):
         ]
 
     return Drawing(
-        diagram=d,
         scale=unit,
         arc_paths=arc_paths,
         stations=tuple(stations),

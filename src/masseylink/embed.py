@@ -37,32 +37,13 @@ class SeifertCircle:
     component: int
     pieces: tuple          # ("arc", a) | ("pass", xi, role) | ("bypass", xi, role)
     footprint: tuple       # closed 2D polyline (projection of the rim)
-    depth: int
-    parent: int            # index of the innermost containing circle, -1 at top
-
-
-@dataclass(frozen=True)
-class SeifertBand:
-    crossing: int
-    sign: int
-    joins: tuple           # (circle_index, circle_index)
-    component: int
+    depth: int             # number of other footprints around footprint[0]
 
 
 @dataclass(frozen=True)
 class SeifertStructure:
     circles: tuple
-    bands: tuple
-
-    def circles_of(self, i):
-        return [c for c in self.circles if c.component == i]
-
-    def bands_of(self, i):
-        return [b for b in self.bands if b.component == i]
-
-    def euler_characteristic(self, i):
-        """chi of the banded surface of component i: circles - bands."""
-        return len(self.circles_of(i)) - len(self.bands_of(i))
+    bands: tuple           # sorted indices of the smoothed crossings
 
 
 def seifert_circles(d, component=None, drawing=None):
@@ -71,7 +52,7 @@ def seifert_circles(d, component=None, drawing=None):
     With component=None every crossing is smoothed (the classical whole
     diagram structure); with a component id only that component's arcs and
     self-crossings enter, which is the per-surface structure used by
-    build_embedding.
+    build_embedding.  Each smoothed crossing is one band.
     """
     if drawing is None:
         drawing = draw_diagram(d)
@@ -86,52 +67,20 @@ def seifert_circles(d, component=None, drawing=None):
         }
     circles = []
     for pieces in d.smoothed_cycles(scope_arcs, smoothed):
-        comp = d.arc_component(pieces[0][1])
-        fp = [p[:2] for p in _walk(drawing, pieces, smoothed, Q(0), Q(0))]
-        circles.append((comp, pieces, fp))
+        fp = tuple(p[:2] for p in _walk(drawing, pieces, smoothed, Q(0), Q(0)))
+        circles.append((d.arc_component(pieces[0][1]), tuple(pieces), fp))
 
-    # nesting by exact containment among circles of the same scope;
-    # footprints in one scope are pairwise disjoint
-    n = len(circles)
-    contains = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if component is None or circles[i][0] == circles[j][0]:
-                contains[i][j] = point_in_polygon(circles[i][2], circles[j][2][0])
-    out = []
-    for j in range(n):
-        containing = [i for i in range(n) if contains[i][j]]
-        depth = len(containing)
-        parent = -1
-        if containing:
-            parent = max(containing, key=lambda i: sum(contains[k][i] for k in range(n)))
-        comp, pieces, fp = circles[j]
-        out.append(
-            SeifertCircle(
-                index=j, component=comp, pieces=tuple(pieces),
-                footprint=tuple(fp), depth=depth, parent=parent,
-            )
+    # footprints in one scope are pairwise disjoint, so a circle's depth is
+    # the number of other footprints around its first footprint point
+    out = tuple(
+        SeifertCircle(
+            index=j, component=comp, pieces=pieces, footprint=fp,
+            depth=sum(point_in_polygon(other[2], fp[0])
+                      for i, other in enumerate(circles) if i != j),
         )
-
-    circle_of_arc = {}
-    for c in out:
-        for p in c.pieces:
-            if p[0] == "arc":
-                circle_of_arc[p[1]] = c.index
-    bands = []
-    for xi in sorted(smoothed):
-        x = d.crossings[xi]
-        bands.append(
-            SeifertBand(
-                crossing=xi,
-                sign=x.sign,
-                joins=(circle_of_arc[x.under_in], circle_of_arc[x.over_in]),
-                component=x.under_component,
-            )
-        )
-    return SeifertStructure(circles=tuple(out), bands=tuple(bands))
+        for j, (comp, pieces, fp) in enumerate(circles)
+    )
+    return SeifertStructure(circles=out, bands=tuple(sorted(smoothed)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +200,6 @@ class EmbeddedLink:
     # the tests and the benchmark tracer read them
     provenance: dict
     tube_radius: object
-    unit: object
     grid_scale: int = 1
     perturb_index: int = 0
     # (lo, hi) -> surface_intersection(F_lo, F_hi), filled by
@@ -385,7 +333,7 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
         st = seifert_circles(d, component=i, drawing=drawing)
         zshift = Q(i * perturb_index, 4096) * unit
         maxdepth = max((c.depth for c in st.circles), default=0)
-        self_sm = {b.crossing for b in st.bands}
+        self_sm = set(st.bands)
         (steps,) = d.smoothed_cycles(d.component_arcs(i), ())
         curves[i] = PLCurve(_walk(drawing, steps, self_sm, dip, zshift), closed=True)
         tris, tags, cup_ends = [], [], []
@@ -396,10 +344,10 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
             tris.extend(t)
             tags.extend("%s:%d" % (tag, c.index) for tag in g)
             cup_ends.append(len(tris))
-        for b in st.bands:
-            bt = _band_triangles(drawing.stations[b.crossing], dip, zshift)
+        for xi in st.bands:
+            bt = _band_triangles(drawing.stations[xi], dip, zshift)
             tris.extend(bt)
-            tags.extend(["band:%d" % b.crossing] * len(bt))
+            tags.extend(["band:%d" % xi] * len(bt))
         surfaces[i] = PLSurface(tris, cup_ends)
         provenance[i] = tags
 
@@ -410,7 +358,6 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
         surfaces=surfaces,
         provenance=provenance,
         tube_radius=_tube_radius(unit, drawing.stations),
-        unit=unit,
         grid_scale=grid_scale,
         perturb_index=perturb_index,
     )

@@ -110,7 +110,6 @@ def _massey3_on(e, ordering):
 @dataclass(frozen=True)
 class FourthOrderPlan:
     ordering: tuple
-    boundaries: dict       # pair key -> DerivedBoundary
     schema: tuple          # three summand descriptors
     status: str            # "computed" | "unsupported"
     reason: str
@@ -205,13 +204,13 @@ def _massey4_on(e, ordering, provider):
         C = provider(key)
         if C is None:
             return FourthOrderPlan(
-                ordering, boundaries, _SCHEMA, "unsupported",
+                ordering, _SCHEMA, "unsupported",
                 "C_%s spanning surface required" % "".join("%d" % c for c in key),
                 (), None,
             )
         summands.append(count(C))
 
     return FourthOrderPlan(
-        ordering, boundaries, _SCHEMA, "computed", "",
+        ordering, _SCHEMA, "computed", "",
         tuple(summands), sum(summands),
     )

@@ -6,8 +6,9 @@ returned as explicit result kinds, never absorbed.  Callers that need a
 degeneracy resolved are expected to perturb their input and retry.
 The triangle kernel decides every sign on integers (see "integer forms").
 
-Every candidate pair (two triangles, or a curve segment and a triangle)
-comes from one sweep over two sets of float boxes, ``BoxIndex.pairs``.
+Every candidate pair (two triangles, a curve segment and a triangle, or
+two plane segments of ``drawing.segments_touch``) comes from one sweep
+over two sets of float boxes, ``BoxIndex.pairs``.
 A triangle pair of ``PLSurface.meets`` or ``check_embedded`` then
 passes two more tests: their xy shadows must not be proved apart
 (``shadows_apart``, exact), and only then does the exact kernel

@@ -13,7 +13,7 @@ from masseylink.diagram import parse_pd
 from masseylink.drawing import (
     _DIAMOND,
     _MIN_CLEAR,
-    _cyclic_order,
+    _counterclockwise,
     _diamond_exit,
     _on_seg2,
     _strictly_between,
@@ -47,7 +47,7 @@ from masseylink.plgeom import (
     orient2,
 )
 from masseylink.rational import Q
-from plref import qpoint as P, rational_rows
+from plref import banded_closures, qpoint as P, rational_rows, seeded_closures
 
 
 def _euler(surface):
@@ -82,7 +82,7 @@ def _ray(v):
     return (Q(v[0]) / l1, Q(v[1]) / l1)
 
 
-def _counterclockwise(dirs):
+def _by_angle(dirs):
     def half(v):
         return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
 
@@ -121,12 +121,12 @@ def test_diamond_exits_are_in_strictly_convex_position():
         ends = [*g.under_chord, *g.over_chord]
         clasp_arms += [(e[0] - X[0], e[1] - X[1]) for e in ends]
         # each drawn crossing: its own four exits, around its center
-        by_angle = _counterclockwise(clasp_arms[-4:])
+        by_angle = _by_angle(clasp_arms[-4:])
         quad = [(X[0] + v[0], X[1] + v[1]) for v in by_angle]
         _assert_chords_cross_in_convex_quad(quad)
         assert {quad[0], quad[2]} in ({*g.under_chord}, {*g.over_chord})
     for pool in (seeded + special, clasp_arms):
-        rays = _counterclockwise(set(map(_ray, pool)))
+        rays = _by_angle(set(map(_ray, pool)))
         exits = [_diamond_exit((0, 0), v, _DIAMOND) for v in rays]
         assert len(set(exits)) == len(exits)
         # combinations keep the counterclockwise order of the rays
@@ -209,6 +209,9 @@ def test_segments_touch_matches_all_pairs():
         want = _touch_all_pairs(segs)
         assert segments_touch(segs) == want, segs
         assert segments_touch(segs[::-1]) == want, segs
+        # moved and scaled past float range, the verdict stays
+        big = [tuple((x * 2**1100 + 1, y * 2**1100 - 1) for x, y in seg) for seg in segs]
+        assert segments_touch(big) == want, segs
         verdicts.append(want)
     assert True in verdicts and False in verdicts
 
@@ -368,8 +371,11 @@ def test_layout_check_refuses_each_broken_fact(monkeypatch, borromean):
     d, arcs, rot, pos = layout
     assert _verify_positions(*layout)
 
-    def slot_orders(q):
-        return {_cyclic_order([(q[v][0] - q[u][0], q[v][1] - q[u][1]) for v in rot[u]])
+    def slot_orders(q, turn=1):
+        """Are the slots of each crossing counterclockwise (turn -1: of the
+        reversed slots, so clockwise)?"""
+        return {_counterclockwise([(q[v][0] - q[u][0], q[v][1] - q[u][1])
+                                   for v in rot[u]][::turn])
                 for u in rot if u[0] == "x"}
 
     # a repeated position
@@ -384,12 +390,13 @@ def test_layout_check_refuses_each_broken_fact(monkeypatch, borromean):
         swapped = {**pos, u: pos[v], v: pos[u]}
         if segments_touch(_layout_segments(d, arcs, swapped)):
             assert not _verify_positions(d, arcs, rot, swapped), (u, v)
-            planarity_only += slot_orders(swapped) == {1}
+            planarity_only += slot_orders(swapped) == {True}
     assert planarity_only > 0
     # the mirror image: planar, but every crossing clockwise
     mirror = {u: (-x, y) for u, (x, y) in pos.items()}
     assert not segments_touch(_layout_segments(d, arcs, mirror))
-    assert slot_orders(mirror) == {-1}
+    assert slot_orders(mirror) == {False}
+    assert slot_orders(mirror, turn=-1) == {True}
     assert not _verify_positions(d, arcs, rot, mirror)
 
 
@@ -413,32 +420,54 @@ def test_trefoil_euler_characteristic(trefoil):
     st = seifert_circles(trefoil, component=1)
     assert len(st.circles) == 2
     assert len(st.bands) == 3
-    assert st.euler_characteristic(1) == -1  # genus-one Seifert surface
+    assert len(st.circles) - len(st.bands) == -1  # genus-one Seifert surface
 
 
 def test_borromean_components_are_disks(borromean):
     for i in (1, 2, 3):
         st = seifert_circles(borromean, component=i)
-        assert st.euler_characteristic(i) == 1
+        assert len(st.circles) - len(st.bands) == 1
 
 
 def test_bands_join_same_component_circles(trefoil, borromean):
     for d in (trefoil, borromean):
         for i in range(1, d.n_components + 1):
             st = seifert_circles(d, component=i)
-            circles = {c.index: c for c in st.circles}
-            for b in st.bands_of(i):
-                assert circles[b.joins[0]].component == i
-                assert circles[b.joins[1]].component == i
+            on_circles = {p[1] for c in st.circles for p in c.pieces if p[0] == "arc"}
+            assert list(st.bands) == sorted(
+                xi for xi, x in enumerate(d.crossings)
+                if x.under_component == x.over_component == i)
+            for xi in st.bands:
+                x = d.crossings[xi]
+                assert {x.under_in, x.over_in} <= on_circles
 
 
-def test_nesting_forest_consistent(hopf):
-    st = seifert_circles(hopf)
-    for c in st.circles:
-        if c.parent >= 0:
-            parent = st.circles[c.parent]
-            assert parent.depth == c.depth - 1
-            assert point_in_polygon(parent.footprint, c.footprint[0])
+def test_nesting_forest_consistent():
+    inputs = [(name, load_fixture(name)) for name in fixture_names()]
+    inputs += [("clasp%d" % k, clasp_family(k)) for k in range(1, 5)]
+    structures = 0
+    for name, d in inputs + seeded_closures() + banded_closures():
+        dr = draw_diagram(d)
+        for scope in [None] + list(range(1, d.n_components + 1)):
+            circles = seifert_circles(d, component=scope, drawing=dr).circles
+            structures += 1
+            # the circles around a circle's first footprint point are a
+            # chain of depths 0 .. depth - 1
+            for c in circles:
+                around = sorted(o.depth for o in circles
+                                if o is not c and point_in_polygon(o.footprint, c.footprint[0]))
+                assert around == list(range(c.depth)), (name, scope, c.index)
+            # the footprints are pairwise disjoint: no shared vertex, and no
+            # edges touching, all lifted to one common denominator
+            fps = [c.footprint for c in circles]
+            assert len({p for fp in fps for p in fp}) == sum(len(fp) for fp in fps), name
+            ints = iter(lift([p for fp in fps for p in fp])[1])
+            edges = []
+            for fp in fps:
+                q = [next(ints) for _ in fp]
+                edges += zip(q, q[1:] + q[:1])
+            assert not segments_touch(edges), (name, scope)
+    assert structures == 144
 
 
 # -- embeddings --------------------------------------------------------------
@@ -623,7 +652,7 @@ def test_band_through_a_disk_is_still_caught():
     dip = e.drawing.stations[0].under[2]
     v = next(p for t in surf.triangles[band:band + 10] for p in t if p[:2] == dip)
     deepest = min(t[0][2] for t, g in zip(surf.triangles, tags) if g.startswith("disk"))
-    w = (v[0], v[1], deepest - e.unit)
+    w = (v[0], v[1], deepest - e.drawing.scale)
     bad = dataclasses.replace(
         e,
         surfaces={1: PLSurface([[w if p == v else p for p in t] for t in surf.triangles],

@@ -282,7 +282,7 @@ def _borromean_plus_split(borromean):
 def _strip_along(e, i):
     """A vertical strip whose bottom edge is the first segment of K_i."""
     a, b = e.curves[i].segments()[0]
-    up = (0, 0, 17 * e.unit)
+    up = (0, 0, 17 * e.drawing.scale)
     return PLSurface([(a, b, v_add(b, up)), (a, v_add(b, up), v_add(a, up))])
 
 
@@ -429,7 +429,7 @@ def _ref_massey4_on(e, ordering, provider):
         C_jkl = provider((j, k, l))
         if C_jkl is None:
             return FourthOrderPlan(
-                ordering, boundaries, _SCHEMA, "unsupported",
+                ordering, _SCHEMA, "unsupported",
                 "C_%d%d%d spanning surface required" % (j, k, l), (), None,
             )
         summands.append(
@@ -442,7 +442,7 @@ def _ref_massey4_on(e, ordering, provider):
         C_kl = provider((k, l))
         if C_kl is None:
             return FourthOrderPlan(
-                ordering, boundaries, _SCHEMA, "unsupported",
+                ordering, _SCHEMA, "unsupported",
                 "C_%d%d spanning surface required" % (k, l), (), None,
             )
         spans = _ref_along_spans(e, boundaries[(i, j)], i)
@@ -456,7 +456,7 @@ def _ref_massey4_on(e, ordering, provider):
         C_ijk = provider((i, j, k))
         if C_ijk is None:
             return FourthOrderPlan(
-                ordering, boundaries, _SCHEMA, "unsupported",
+                ordering, _SCHEMA, "unsupported",
                 "C_%d%d%d spanning surface required" % (i, j, k), (), None,
             )
         spans = _ref_surface_k_spans(e, C_ijk, i)
@@ -465,7 +465,7 @@ def _ref_massey4_on(e, ordering, provider):
         )
 
     return FourthOrderPlan(
-        ordering, boundaries, _SCHEMA, "computed", "",
+        ordering, _SCHEMA, "computed", "",
         tuple(summands), sum(summands),
     )
 
