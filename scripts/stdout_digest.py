@@ -10,8 +10,11 @@ Every `massey3` and `trace` run also writes --dump-geometry and
 --dump-trace files.  Then it runs `massey4 --fixture unlink4 --order
 1,2,3,4`, `fixtures`, the refusals of a repeated component (`trace
 --pair 2,2`, `massey3 --order 1,2,2` and `milnor --indices 1,1,2` on
-borromean, `massey4 --order 1,2,3,3` on unlink4) and `chains-verify` on
-each complex at the default cases (about 6 s).  The hash covers each
+borromean, `massey4 --order 1,2,3,3` on unlink4), borromean `massey3
+--order 1,2,3` with the geometry options `--seed 1 --grid-scale 3`, with
+the out-of-range `--seed 16384` and with `--grid-scale 2**1015` (past the
+float range of the box prefilter), and `chains-verify` on each complex at
+the default cases (about 6 s).  The hash covers each
 command line, exit code, stdout and dump file, in that order, with
 temporary paths reduced to their base names; stderr is not hashed.  A
 command that argparse rejects is hashed with the code of its SystemExit,
@@ -94,6 +97,10 @@ def main():
                   ["massey3", "--fixture", "borromean", "--order", "1,2,2"],
                   ["milnor", "--fixture", "borromean", "--indices", "1,1,2"],
                   ["massey4", "--fixture", "unlink4", "--order", "1,2,3,3"]]
+        borromean = ["massey3", "--fixture", "borromean", "--order", "1,2,3"]
+        argvs += [borromean + ["--seed", "1", "--grid-scale", "3"],
+                  borromean + ["--seed", "16384"],
+                  borromean + ["--grid-scale", str(2**1015)]]
         argvs += [["chains-verify", "--complex", name] for name in sorted(COMPLEXES)]
         for argv in argvs:
             out = io.StringIO()

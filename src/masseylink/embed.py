@@ -11,7 +11,8 @@ Geometry scheme (all exact rationals, built on a verified plane drawing):
   dips where the circle runs along the link);
 * at a self-crossing a ruled twisted band connects the two smoothing
   bypasses, absorbing the strand dips, so disks plus bands have boundary
-  exactly the component curve.
+  exactly the component curve (the boundary lemma of build_embedding), and
+  only embeddedness is checked.
 
 Deeper-nested circles hang higher than their ancestors so skirts never
 pierce sibling polygons; distinct components use distinct levels so
@@ -22,8 +23,9 @@ from dataclasses import dataclass, field
 
 from .drawing import (
     UNDER_DIP, draw_diagram, point_in_polygon, polygon_area2, segments_touch)
-from .errors import NotGeneric
-from .plgeom import PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_scale, v_sub
+from .errors import InputError, NotGeneric
+from .plgeom import (
+    PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_lerp, v_scale, v_sub)
 from .rational import Q
 
 
@@ -319,12 +321,41 @@ def _tube_radius(unit, stations):
 
 
 def build_embedding(d, grid_scale=1, perturb_index=0):
-    """Embed the link with one Seifert surface per component."""
+    """Embed the link with one Seifert surface per component.
+
+    Component i is lifted by i * perturb_index / 4096 units, and an under
+    passage dips 8 units (H / 3).  Two lifts differ by less than the dip,
+    and the disk levels of different components stay distinct, when
+    0 <= perturb_index and (m - 1) * perturb_index < 32768 for m
+    components.  Any other index is an InputError: a larger one flips a
+    crossing between components, so it would measure another link.
+
+    Boundary lemma: as a sum of directed edges, the boundary of surface i
+    is curve i, each edge once, and every other edge is shared by two
+    triangles in opposite directions; so verify_embedding does not compare
+    them (the tests do, exactly).
+    (a) A cup's boundary is its rim (see _wall_and_polygon).  Neighbouring
+        wall quads cancel their vertical edges, each quad's diagonal
+        cancels inside it, and its bottom edge cancels against the
+        ear-clipped disk, which is wound in traversal order.
+    (b) A band's strips cancel pairwise (strip j's rung U_j+1 -> O_4-j
+        against strip j+1's), leaving U0 -> ... -> U5, O0 -> ... -> O5 and
+        the rungs O5 -> U0 and U5 -> O0.  The two bypasses of _waypoints
+        at that crossing hold U0 -> O5 and O0 -> U5, so the rungs cancel.
+    (c) Rims and curve build arcs and passages with the same _walk and
+        _waypoints from the same stations.  At a band, the outer edges of
+        its two bypasses and the rails left by (b) make the curve's two
+        passages through the crossing, so what is left is the curve.
+    """
+    m = d.n_components
+    if perturb_index < 0 or (m - 1) * perturb_index >= 32768:
+        raise InputError(
+            "perturbation index %d out of range: need 0 <= index and "
+            "(components - 1) * index < 32768" % perturb_index)
     drawing = draw_diagram(d, grid_scale)
     unit = drawing.scale
     H = 24 * unit
     dip = -H / 3
-    m = d.n_components
 
     curves = {}
     surfaces = {}
@@ -373,7 +404,8 @@ def measured(source, measure, grid_scale=1, perturb_index=0):
     perturbation index of a rebuild.  An exact degeneracy (NotGeneric) in
     building or in measuring triggers exactly one rebuild at the next
     perturbation index; a second one propagates.  This is the only place
-    that retries.
+    that retries.  Indices are bounded as in build_embedding, so a rebuild
+    past the bound is an InputError too.
     """
     prebuilt = isinstance(source, EmbeddedLink)
     if prebuilt:
@@ -391,49 +423,17 @@ def measured(source, measure, grid_scale=1, perturb_index=0):
 
 
 def verify_embedding(e):
-    """Boundary and embeddedness checks for every component surface.
+    """Embeddedness check of every component surface.
 
-    The triangles of one cup (a circle's wall and disk, which end at one
-    of ``PLSurface.cup_ends``) were proved embedded together when built
-    (see _wall_and_polygon), so ``check_embedded`` compares the other
-    pairs in exact 3D: bands against anything, and different cups.
+    Each surface bounds its curve by construction (the boundary lemma of
+    build_embedding), so nothing compares them here.  The triangles of one
+    cup (a circle's wall and disk, which end at one of
+    ``PLSurface.cup_ends``) were proved embedded together when built (see
+    _wall_and_polygon), so ``check_embedded`` compares the other pairs in
+    exact 3D: bands against anything, and different cups.
     """
-    for i, surf in e.surfaces.items():
-        loops = surf.boundary_curves()
-        if len(loops) != 1:
-            raise NotGeneric("surface %d has %d boundary loops" % (i, len(loops)))
-        if not _same_cycle(loops[0], e.curves[i]):
-            raise NotGeneric("boundary of surface %d is not its curve" % i)
+    for surf in e.surfaces.values():
         surf.check_embedded()
-
-
-def _same_cycle(c1, c2):
-    """Equality of closed curves as oriented cycles (up to start vertex
-    and collinear subdivision)."""
-    a = _essential_vertices(c1.vertices)
-    b = _essential_vertices(c2.vertices)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    try:
-        k = b.index(a[0])
-    except ValueError:
-        return False
-    return a == b[k:] + b[:k]
-
-
-def _essential_vertices(vs):
-    """The vertices of a closed polyline that are not collinear with both
-    neighbours, decided on its integer form over one common denominator."""
-    ws = lift(vs)[1]
-    n = len(vs)
-    out = []
-    for i in range(n):
-        p, q, r = ws[i - 1], ws[i], ws[(i + 1) % n]
-        if v_cross(v_sub(q, p), v_sub(r, q)) != (0, 0, 0):
-            out.append(vs[i])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,29 +454,16 @@ def _scaled(u, r):
     return v_scale(u, Q(r, abs(u[0]) + abs(u[1]) + abs(u[2])))
 
 
-def _arc_interior_position(e, i):
-    """A position on a long horizontal stretch of component i."""
-    curve = e.curves[i]
-    best = None
-    for k, (a, b) in enumerate(curve.segments()):
-        if a[2] != b[2]:
-            continue
-        d2 = sum((b[t] - a[t]) ** 2 for t in range(3))
-        if best is None or d2 > best[0]:
-            best = (d2, k)
-    if best is None:
-        raise NotGeneric("component %d has no flat stretch" % i)
-    return Q(best[1]) + Q(1, 2)
-
-
 def meridian(e, i):
-    """Small square meridian of component i with lk(K_i, meridian) = +1."""
+    """Small square meridian of component i with lk(K_i, meridian) = +1,
+    around the midpoint of its longest horizontal segment (the first of
+    equal ones)."""
     r = e.tube_radius
-    curve = e.curves[i]
-    pos = _arc_interior_position(e, i)
-    k = int(pos)
-    a, b = curve.segments()[k % len(curve.segments())]
-    p = curve.point_at(pos)
+    flat = [(a, b) for a, b in e.curves[i].segments() if a[2] == b[2]]
+    if not flat:
+        raise NotGeneric("component %d has no flat stretch" % i)
+    a, b = max(flat, key=lambda s: sum((s[1][t] - s[0][t]) ** 2 for t in range(3)))
+    p = v_lerp(a, b, Q(1, 2))
     u1, u2 = _segment_frame(a, b)  # u1 = left normal, u2 completes the frame
     ua, ub = _scaled(u1, r), _scaled(u2, r)
     ring = [

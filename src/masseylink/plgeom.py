@@ -30,7 +30,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import NotGeneric
+from .errors import InputError, NotGeneric
 from .rational import Q, qstr, sign
 
 EMPTY = ("empty",)
@@ -456,15 +456,13 @@ class PLCurve:
     def locate(self, p):
         """Position (seg_index + t in [0,1)) of p on the curve, or None.
 
-        A segment whose float box misses float(p) cannot hold p (rounding
-        is monotone), so skipping it keeps the first hit of the scan.
+        Candidates are the segments whose float box holds float(p), in
+        segment order; a segment whose box misses it cannot hold p
+        (rounding is monotone), so the first hit is the scan's.
         """
-        x, y, z = (float(c) for c in p)
         vs = self.vertices
         n = len(vs)
-        for i, (x0, y0, z0, x1, y1, z1) in enumerate(self.index.arr):
-            if not (x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1):
-                continue
+        for i in self.index.query(p + p):
             t = _seg_point_param(vs[i], vs[(i + 1) % n], p)
             if t is not None and t < 1:
                 return Q(i) + t
@@ -476,10 +474,10 @@ class PLCurve:
 
     def point_at(self, pos):
         i = int(pos)
-        t = pos - i
-        segs = self.segments()
-        a, b = segs[i % len(segs)]
-        return v_lerp(a, b, t)
+        vs = self.vertices
+        n = len(vs)
+        k = i % (n if self.closed else n - 1)
+        return v_lerp(vs[k], vs[(k + 1) % n], pos - i)
 
     def subarc(self, pos0, pos1):
         """Vertices of the forward sub-arc from pos0 to pos1 (cyclic).
@@ -490,7 +488,7 @@ class PLCurve:
             raise ValueError("subarc only on closed curves")
         if pos0 == pos1:
             raise ValueError("subarc endpoints coincide")
-        n = len(self.segments())
+        n = len(self.vertices)
         i = int(pos0) % n
         i1 = int(pos1) % n
         frac0 = pos0 - int(pos0)
@@ -648,11 +646,18 @@ def stitch(segments):
     return chains, loops
 
 
+_FLOAT_RANGE = ("coordinates beyond the float range of the box prefilter "
+                "(about 1.8e308)")
+
+
 def _box_row(item):
     """Float box (lo x, y, z, hi x, y, z) of a lifted item: an
     IntTriangle or a (D, integer points) pair."""
     D, cols = item[0], list(zip(*item[1]))
-    return tuple([min(c) / D for c in cols] + [max(c) / D for c in cols])
+    try:
+        return tuple([min(c) / D for c in cols] + [max(c) / D for c in cols])
+    except OverflowError:
+        raise InputError(_FLOAT_RANGE) from None
 
 
 class BoxIndex:
@@ -663,7 +668,9 @@ class BoxIndex:
     and ``PLSurface``, compute each row once, and ``check_embedded`` slices
     them.  ``pairs`` of two indexes is the one way the package finds
     candidate pairs, for ``PLSurface.meets`` and ``check_embedded`` too;
-    ``query``, a scan of every row against one box, is what it must equal.
+    ``query``, a scan of every row against one box, is what it must equal,
+    and ``PLCurve.locate`` takes its candidates from it, so it stays here.
+    A corner past the float range is an InputError.
     No pair whose exact boxes overlap is missed, at any scale: min(ints) /
     D is one correctly rounded int/int division, the ``float`` of the
     rational corner, so it is monotone and exact ``lo <= hi`` implies
@@ -678,7 +685,10 @@ class BoxIndex:
         self._x0 = [row[0] for _, row in self._by_x]
 
     def query(self, box):
-        x0, y0, z0, x1, y1, z1 = [float(c) for c in box]
+        try:
+            x0, y0, z0, x1, y1, z1 = [float(c) for c in box]
+        except OverflowError:
+            raise InputError(_FLOAT_RANGE) from None
         return [
             i for i, (a0, b0, c0, a1, b1, c1) in enumerate(self.arr)
             if a0 <= x1 and a1 >= x0 and b0 <= y1 and b1 >= y0 and c0 <= z1 and c1 >= z0

@@ -79,6 +79,28 @@ def test_components_are_checked_before_any_build(argv, code, err, capsys, monkey
     assert captured.err.startswith(err)
 
 
+@pytest.mark.parametrize("option, value, code", [
+    ("--seed", "16383", 0),
+    ("--seed", "16384", 1),
+    ("--seed", "-1", 1),
+    ("--grid-scale", str(2**1000), 0),
+    ("--grid-scale", str(2**1015), 1),
+], ids=["seed 16383", "seed 16384", "seed -1", "grid 2**1000", "grid 2**1015"])
+def test_geometry_options_at_their_bounds(option, value, code, capsys):
+    # 16383 is the largest index a three-component link takes: the next one
+    # would flip a crossing between components.  Past the float range the
+    # box prefilter cannot run.  Both refusals are one-line input errors.
+    argv = ["massey3", "--fixture", "borromean", "--order", "1,2,3", option, value]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["value"] == 1
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert captured.err.count("\n") == 1
+
+
 def test_malformed_input_exit_code(capsys):
     code, doc = _run(capsys, "lk", "--pd", "not a code")
     assert code == 1

@@ -27,9 +27,7 @@ from masseylink.drawing import (
 from masseylink import embed
 from masseylink.embed import (
     _dist2_point_line,
-    _essential_vertices,
     _in_closed_tri2,
-    _same_cycle,
     _wall_and_polygon,
     build_embedding,
     meridian,
@@ -473,11 +471,23 @@ def test_nesting_forest_consistent():
 # -- embeddings --------------------------------------------------------------
 
 
-def test_embedding_boundary_is_curve(e_borromean):
-    for i in (1, 2, 3):
-        loops = e_borromean.surfaces[i].boundary_curves()
-        assert len(loops) == 1
-    # verify_embedding already ran inside build_embedding
+def test_embedding_boundary_is_curve():
+    # the boundary lemma of build_embedding, which verify_embedding relies
+    # on: each surface's boundary is one loop with its curve's vertex list,
+    # exactly, up to rotation (no collinear subdivision either way)
+    inputs = [(name, load_fixture(name)) for name in fixture_names()]
+    inputs += [("clasp%d" % k, clasp_family(k)) for k in range(1, 6)]
+    surfaces = 0
+    for name, d in inputs + seeded_closures() + banded_closures():
+        for perturb_index in (0, 1):
+            e = build_embedding(d, perturb_index=perturb_index)
+            for i, surf in e.surfaces.items():
+                (loop,) = surf.boundary_curves()
+                vs, ws = loop.vertices, e.curves[i].vertices
+                k = ws.index(vs[0])
+                assert vs == ws[k:] + ws[:k], (name, perturb_index, i)
+                surfaces += 1
+    assert surfaces == 220
 
 
 def test_embedding_with_bands(e_trefoil):
@@ -685,21 +695,6 @@ def test_tube_radius_keeps_the_rail_contract(d):
         assert 8 * e.tube_radius ** 2 <= _dist2_point_line(B, a, b)
         assert orient2(a, b, D1) * orient2(a, b, D2) == -1
         assert orient2(a, b, A) * orient2(a, b, B) == -1
-
-
-def test_essential_vertices_skip_collinear_subdivisions():
-    # a unit square with two sides subdivided at points of other
-    # denominators: only its corners are essential, and it is the same
-    # cycle as the plain square started elsewhere, not its reverse
-    sq = [P(0, 0, 0), P(Q(1, 3), 0, 0), P(1, 0, 0), P(1, Q(5, 7), 0),
-          P(1, 1, 0), P(0, 1, 0)]
-    assert _essential_vertices(sq) == [sq[0], sq[2], sq[4], sq[5]]
-    plain = PLCurve([P(1, 1, 0), P(0, 1, 0), P(0, 0, 0), P(1, 0, 0)])
-    assert _same_cycle(PLCurve(sq), plain)
-    assert not _same_cycle(PLCurve(sq), plain.reversed())
-    # a vertex 2**-100 off the line through its neighbours is kept
-    bent = [P(0, 0, 0), P(Q(1, 2), 0, Q(1, 2**100)), P(1, 0, 0), P(0, 1, 0)]
-    assert _essential_vertices(bent) == bent
 
 
 # -- meridians, pushoffs -----------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from masseylink import trace
 from masseylink.embed import build_embedding, meridian, pushoff_cycle, pushoff_run
-from masseylink.errors import NonzeroLinking, NotGeneric
+from masseylink.errors import InputError, NonzeroLinking, NotGeneric
 from masseylink.fixtures import clasp_family, fixture_names, load_fixture
 from masseylink.plgeom import (
     BoxIndex,
@@ -481,6 +481,11 @@ def test_box_index_query_matches_exact_overlap():
                 assert found == sorted(exact)
             else:
                 assert found == sorted(set(found)) and exact <= set(found)
+    # past the float range a row and a query box are input errors
+    huge = (P(2**1100, 0, 0), P(2**1100, 1, 1))
+    for make in (lambda: _box_row(lift(huge)), lambda: idx.query((*huge[0], *huge[1]))):
+        with pytest.raises(InputError, match="float range"):
+            make()
 
 
 def _query_pairs(idx, other):
