@@ -25,7 +25,7 @@ from .drawing import (
     UNDER_DIP, draw_diagram, point_in_polygon, polygon_area2, segments_touch)
 from .errors import InputError, NotGeneric
 from .plgeom import (
-    PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_lerp, v_scale, v_sub)
+    Cup, PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_lerp, v_scale, v_sub)
 from .rational import Q
 
 
@@ -204,7 +204,7 @@ class EmbeddedLink:
     tube_radius: object
     grid_scale: int = 1
     perturb_index: int = 0
-    # (lo, hi) -> surface_intersection(F_lo, F_hi), filled by
+    # (lo, hi) -> trace.cup_intersection(e, lo, hi), filled by
     # trace.embedded_intersection; a copy made by dataclasses.replace
     # starts empty
     intersections: dict = field(
@@ -237,7 +237,8 @@ def _wall_and_polygon(rim, level):
     meet only in common vertices and edges, and whose triangle on e_k has
     the quad's bottom edge as an edge.  Both conditions are checked here,
     exactly, on the integer form of the footprint; NotGeneric if either
-    fails.
+    fails.  Returns the triangles, their tags, that integer form (D,
+    points) and the ear clip's index triples.
     """
     tris = []
     tags = []
@@ -254,18 +255,20 @@ def _wall_and_polygon(rim, level):
         tris.append((p, qb, pb))
         tags += ["wall", "wall"]
     poly2 = [(p[0], p[1]) for p in rim]
-    poly = lift(poly2)[1]
+    footprint = lift(poly2)
+    poly = footprint[1]
     area = polygon_area2(poly)
     if area == 0:
         raise NotGeneric("degenerate circle footprint")
     _check_simple(poly)
     # the clip decides on orientation signs alone, which the integer form
     # over one common denominator keeps
-    for (i0, i1, i2) in _ear_clip(poly, 1 if area > 0 else -1):
+    clip = _ear_clip(poly, 1 if area > 0 else -1)
+    for (i0, i1, i2) in clip:
         a, b, c = poly2[i0], poly2[i1], poly2[i2]
         tris.append(((a[0], a[1], level), (b[0], b[1], level), (c[0], c[1], level)))
         tags.append("disk")
-    return tris, tags
+    return tris, tags, footprint, tuple(clip)
 
 
 def _check_simple(poly):
@@ -283,6 +286,21 @@ def _check_simple(poly):
             raise NotGeneric("circle footprint folds back")
     if len(set(poly)) != n or segments_touch(edges):
         raise NotGeneric("circle footprint is not simple")
+
+
+def _crossing_edges(drawing, pieces, smoothed, rim):
+    """(crossing, k) for each passage of a circle through a crossing with
+    another component: the footprint edge under rim edge k holds the
+    crossing point of the chords.  It is the dip edge D1 -> D2 of an under passage, and the one
+    edge of an over passage (see _waypoints)."""
+    at = {p[:2]: k for k, p in enumerate(rim)}
+    out = []
+    for step in pieces:
+        if step[0] == "pass" and step[1] not in smoothed:
+            loc = drawing.stations[step[1]]
+            first = loc.under[UNDER_DIP[0]] if step[2] == "U" else loc.over_chord[0]
+            out.append((step[1], at[first]))
+    return tuple(out)
 
 
 def _band_triangles(loc, dip, zshift):
@@ -367,19 +385,24 @@ def build_embedding(d, grid_scale=1, perturb_index=0):
         self_sm = set(st.bands)
         (steps,) = d.smoothed_cycles(d.component_arcs(i), ())
         curves[i] = PLCurve(_walk(drawing, steps, self_sm, dip, zshift), closed=True)
-        tris, tags, cup_ends = [], [], []
+        tris, tags, cups = [], [], []
         for c in st.circles:
             level = -H * (2 + (maxdepth - c.depth) + Q(i, m + 1)) + zshift
             rim = _walk(drawing, c.pieces, self_sm, dip, zshift)
-            t, g = _wall_and_polygon(rim, level)
+            t, g, footprint, clip = _wall_and_polygon(rim, level)
+            start, n = len(tris), len(rim)
             tris.extend(t)
             tags.extend("%s:%d" % (tag, c.index) for tag in g)
-            cup_ends.append(len(tris))
+            cups.append(Cup(
+                walls=range(start, start + 2 * n),
+                disk=range(start + 2 * n, len(tris)),
+                level=level, footprint=footprint, clip=clip,
+                crossings=_crossing_edges(drawing, c.pieces, self_sm, rim)))
         for xi in st.bands:
             bt = _band_triangles(drawing.stations[xi], dip, zshift)
             tris.extend(bt)
             tags.extend(["band:%d" % xi] * len(bt))
-        surfaces[i] = PLSurface(tris, cup_ends)
+        surfaces[i] = PLSurface(tris, cups)
         provenance[i] = tags
 
     e = EmbeddedLink(

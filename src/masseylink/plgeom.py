@@ -6,16 +6,20 @@ returned as explicit result kinds, never absorbed.  Callers that need a
 degeneracy resolved are expected to perturb their input and retry.
 The triangle kernel decides every sign on integers (see "integer forms").
 
-Every candidate pair (two triangles, a curve segment and a triangle, or
-two plane segments of ``drawing.segments_touch``) comes from one sweep
-over two sets of float boxes, ``BoxIndex.pairs``.
-A triangle pair of ``PLSurface.meets`` or ``check_embedded`` then
+Every candidate pair (two triangles of one surface in
+``PLSurface.check_embedded``, a curve segment and a triangle, two
+segments of two curves in ``linking_number``, or two plane segments of
+``drawing.segments_touch``) comes from one sweep over two sets of float
+boxes, ``BoxIndex.pairs``.  A triangle pair of ``check_embedded`` then
 passes two more tests: their xy shadows must not be proved apart
 (``shadows_apart``, exact), and only then does the exact kernel
 ``triangle_triangle`` cut each triangle by the other's stored plane and
 overlap the two cuts.  Neither filter drops a pair that meets.  The
 kernel orients what it returns: a segment of two triangles whose planes
 are not parallel runs along n1 x n2, the cross product of their normals.
+Two different surfaces of an embedding are never paired triangle by
+triangle: their intersection curves are read off the ``Cup`` records
+(``trace.cup_intersection``), in exact 2D work on footprints and levels.
 
 Intersection results are tagged tuples:
   ("empty",)
@@ -273,8 +277,8 @@ def triangle_triangle(t1, t2, plane1, plane2):
     (n, k), n . X = k on the integer vertices: a PLSurface keeps both for
     every triangle, in ``lifted`` and ``planes``.
 
-    ``PLSurface.meets`` calls this kernel third, after the float boxes and
-    the xy shadows of the pair.  It then decides the pair by plane cuts,
+    ``PLSurface.check_embedded`` calls this kernel third, after the float
+    boxes and the xy shadows of the pair.  It then decides the pair by plane cuts,
     the interval test of Moller ("A Fast Triangle-Triangle Intersection
     Test", JGT 1997) in exact integers.  The side of a vertex of B
     against A's plane is D_A (n_A . B_i) - D_B k_A, a positive multiple
@@ -508,6 +512,29 @@ class PLCurve:
                 return out
 
 
+class Cup(NamedTuple):
+    """One Seifert circle's cup in a PLSurface: vertical wall quads over
+    its footprint, hung from the rim down to ``level``, then the
+    horizontal disk at ``level``.
+
+    ``walls`` holds two triangles per footprint edge k, (p, q, qb) and
+    (p, qb, pb) for the rim edge p -> q and its feet pb, qb; ``disk``
+    follows it, one triangle per index triple of ``clip``.  ``footprint``
+    is (D, points): the rim's xy as integers over one denominator D.
+    ``crossings`` pairs each crossing of this circle with another
+    component with the footprint edge k that holds the crossing point of
+    its chords, as (crossing, k).  A hand-made surface may give only the
+    two ranges.
+    """
+
+    walls: range
+    disk: range
+    level: object = None
+    footprint: tuple = (1, ())
+    clip: tuple = ()
+    crossings: tuple = ()
+
+
 class PLSurface:
     """Oriented triangulated surface with exact vertices.
 
@@ -517,18 +544,22 @@ class PLSurface:
     each triangle, made once here for the exact kernel, ``planes`` its
     integer plane (n, k) at the triangle's own denominator, and ``index``
     the one BoxIndex of the triangles, built from those integer forms.
-    ``cup_ends`` (e1, e2, ...) are where the cups end: triangles[0:e1],
-    triangles[e1:e2] and so on are cups, each proved embedded; the
-    triangles after the last end (the bands) are proved nothing, and with
-    no ends the whole surface is one unproved part.
+    ``cups`` are the Cup records, in triangle order from index 0, each
+    proved embedded; ``cup_ends`` is where each ends.  The triangles
+    after the last cup (the bands) are proved nothing, and with no cups
+    the whole surface is one unproved part.
     """
 
-    def __init__(self, triangles, cup_ends=()):
+    def __init__(self, triangles, cups=()):
         self.triangles = [tuple(_qvertex(v) for v in t) for t in triangles]
-        self.cup_ends = list(cup_ends)
+        self.cups = list(cups)
         self.lifted = [int_triangle(t) for t in self.triangles]
         self.planes = [_plane(it.verts) for it in self.lifted]
         self.index = BoxIndex([_box_row(it) for it in self.lifted])
+
+    @property
+    def cup_ends(self):
+        return [c.disk.stop for c in self.cups]
 
     def __len__(self):
         return len(self.triangles)
@@ -558,21 +589,16 @@ class PLSurface:
         # so they stitch into loops only
         return [PLCurve(loop, closed=True) for loop in stitch(self.validate())[1]]
 
-    def _contacts(self, pairs, other):
+    def _contacts(self, pairs):
         """(i, j, r) for each candidate (i, j) whose shadows are not proved
         apart and whose kernel result r is not empty."""
-        A, B = self.lifted, other.lifted
+        A = self.lifted
         for i, j in pairs:
-            if shadows_apart(A[i], B[j]):
+            if shadows_apart(A[i], A[j]):
                 continue
-            r = triangle_triangle(A[i], B[j], self.planes[i], other.planes[j])
+            r = triangle_triangle(A[i], A[j], self.planes[i], self.planes[j])
             if r[0] != "empty":
                 yield i, j, r
-
-    def meets(self, other):
-        """Yield (i, j, r), in (i, j) order, for each triangle i here and j
-        of ``other`` that meet: boxes, then ``_contacts``."""
-        return self._contacts(self.index.pairs(other.index), other)
 
     def check_embedded(self):
         """Exact self-intersection check of the pairs i < j no cup proves:
@@ -587,7 +613,7 @@ class PLSurface:
             for lo2, idx2 in parts[k + 1:]:
                 pairs += [(lo + i, lo2 + j) for i, j in idx.pairs(idx2)]
         pairs.sort()
-        for i, j, r in self._contacts(pairs, self):
+        for i, j, r in self._contacts(pairs):
             # distinct common vertices, compared without hashing
             t1, t2 = self.triangles[i], self.triangles[j]
             shared = []
@@ -667,8 +693,8 @@ class BoxIndex:
     from, one ``_box_row`` per item in item order; the owners, ``PLCurve``
     and ``PLSurface``, compute each row once, and ``check_embedded`` slices
     them.  ``pairs`` of two indexes is the one way the package finds
-    candidate pairs, for ``PLSurface.meets`` and ``check_embedded`` too;
-    ``query``, a scan of every row against one box, is what it must equal,
+    candidate pairs: for ``check_embedded``, curve crossings,
+    ``linking_number`` and ``drawing.segments_touch``; ``query``, a scan of every row against one box, is what it must equal,
     and ``PLCurve.locate`` takes its candidates from it, so it stays here.
     A corner past the float range is an InputError.
     No pair whose exact boxes overlap is missed, at any scale: min(ints) /
@@ -765,6 +791,77 @@ def curve_surface_crossings(curve, surface):
 def curve_surface_count(curve, surface):
     """Signed count of pierces; +1 per negative-to-positive-side crossing."""
     return sum(s for _, _, s, _ in curve_surface_crossings(curve, surface))
+
+
+# projection directions (p, q) of ``linking_number``, tried in order
+_DIRECTIONS = ((0, 0), (1, 2), (-2, 1), (3, -1), (-1, -3), (2, 5), (-5, 2), (4, 7))
+
+
+def linking_number(c1, c2):
+    """Linking number of two disjoint closed PLCurves, read off a
+    projection, with no surface.
+
+    The curves are projected along v = (p, q, 1): (x, y, z) goes to
+    (x - p z, y - q z).  At a crossing of a segment of c1 with one of c2
+    in the projection, the one with the greater z there is over, and the
+    crossing counts sign((over direction) x (under direction)).  The sum
+    over the crossings where c1 is over and the sum over those where c2
+    is over are both the linking number, so they must agree.  A direction
+    is degenerate when a segment projects to a point, when two projected
+    segments meet other than in one point inside both, or when a crossing
+    has equal heights (then the curves meet, and every direction is);
+    the next (p, q) of ``_DIRECTIONS`` is tried, and NotGeneric raised
+    after the last.  Candidate pairs come from ``BoxIndex.pairs`` over
+    the projected segments' boxes at z = 0; every test is on integers
+    over one common denominator.
+    """
+    n1 = len(c1)
+    D, pts = lift(c1.vertices + c2.vertices)
+    for p, q in _DIRECTIONS:
+        proj = [(x - p * z, y - q * z) for x, y, z in pts]
+        segs = [[(k, (k + 1) % n1) for k in range(n1)],
+                [(n1 + k, n1 + (k + 1) % len(c2)) for k in range(len(c2))]]
+        if any(proj[i] == proj[j] for seg in segs for i, j in seg):
+            continue
+        idx = [BoxIndex([_box_row((D, (proj[i] + (0,), proj[j] + (0,)))) for i, j in seg])
+               for seg in segs]
+        sums = _projected_crossings(pts, proj, segs, idx[0].pairs(idx[1]))
+        if sums is not None:
+            if sums[0] != sums[1]:
+                raise NotGeneric("over and under sums of a projection disagree")
+            return sums[0]
+    raise NotGeneric("no generic projection direction for a linking number")
+
+
+def _projected_crossings(pts, proj, segs, pairs):
+    """(sum where c1 is over, sum where c2 is over) of the crossing signs
+    of the candidate segment pairs, or None on a degenerate direction."""
+    over = [0, 0]
+    for i, j in pairs:
+        (a0, a1), (b0, b1) = segs[0][i], segs[1][j]
+        a, b, c, d = proj[a0], proj[a1], proj[b0], proj[b1]
+        o = (orient2(a, b, c), orient2(a, b, d), orient2(c, d, a), orient2(c, d, b))
+        if o[0] * o[1] < 0 and o[2] * o[3] < 0:
+            # heights at the crossing: a + t (b - a) and c + u (d - c)
+            e, f = (b[0] - a[0], b[1] - a[1]), (d[0] - c[0], d[1] - c[1])
+            den = e[0] * f[1] - e[1] * f[0]
+            t = Q((c[0] - a[0]) * f[1] - (c[1] - a[1]) * f[0], den)
+            u = Q((c[0] - a[0]) * e[1] - (c[1] - a[1]) * e[0], den)
+            z1 = pts[a0][2] + t * (pts[a1][2] - pts[a0][2])
+            z2 = pts[b0][2] + u * (pts[b1][2] - pts[b0][2])
+            if z1 == z2:
+                return None
+            over[z1 < z2] += sign(den) if z1 > z2 else -sign(den)
+        elif any(s == 0 and _in_box(u, v, w) for s, (u, v, w) in zip(
+                o, ((a, b, c), (a, b, d), (c, d, a), (c, d, b)))):
+            return None
+    return over
+
+
+def _in_box(u, v, w):
+    """Is w in the closed box of u and v (w on their line: w on uv)?"""
+    return (min(u[0], v[0]) <= w[0] <= max(u[0], v[0])
+            and min(u[1], v[1]) <= w[1] <= max(u[1], v[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,24 @@ loops that never meet a pierce: once the K_a loops are done, one starts at
 each K_b departure still unused, in order along K_b, and closes when the
 next departure is its own start.  Circles of the intersection join the
 result as standalone loops.
+
+The intersection curves of two surfaces of an embedding are read off
+their cup records (``cup_intersection``): a disk meets the walls of a
+lower cup along that cup's footprint at the disk's level, and two walls
+meet over the points where their footprints cross.  No triangle pair is
+boxed, shadow-tested or handed to the 3D kernel; the generic
+triangle-pair intersection stays in the tests as the reference.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import lcm
 
+from .drawing import point_in_polygon
+from .embed import _in_closed_tri2
 from .errors import NotGeneric, StuckTrace
-from .plgeom import (
-    PLCurve,
-    curve_surface_crossings,
-    point_key,
-    stitch,
-    v_cross,
-)
+from .plgeom import PLCurve, curve_surface_crossings, orient2, stitch
+from .rational import Q
 
 
 @dataclass(frozen=True)
@@ -72,64 +77,218 @@ class DerivedBoundary:
 
 
 # ---------------------------------------------------------------------------
-# surface-surface intersection curves
+# surface-surface intersection curves, read off the cups
 
 
-def surface_intersection(F_a, F_b):
-    """Connected oriented components of the point set F_a meet F_b.
+def cup_intersection(e, lo, hi):
+    """Connected oriented components of F_lo meet F_hi, lo < hi, for the
+    surfaces of an embedding.
 
-    Segments come from the triangle pairs of ``F_a.meets(F_b)``.  Arcs
-    come first, then circles, each in the order of ``stitch``.  Points are
-    keyed on the integers of ``point_key``, compared as rationals only to
-    order the output.  Each segment is oriented by the contract of
-    ``triangle_triangle``: from triangles whose planes are not parallel it
-    runs along n_a x n_b, so a witness pair says +1 when its segment is in
-    key order and -1 when not, and every witness of one segment must say
-    the same.
+    The curves are those the generic triangle-pair intersection gives:
+    its segments, from the triangle pairs that meet, stitched (arcs first,
+    then circles, each in the order of ``stitch``), and each segment runs
+    along n_lo x n_hi, the cross product of the normals of the two
+    triangles as wound.  Here they are read off the cups, because two
+    surfaces of ``build_embedding`` meet only disk against wall and wall
+    against wall:
+
+    - each band lies inside the diamond of its crossing, between the dip
+      and the curve's height, and no other strand passes the diamond;
+    - the disks of different components sit at distinct levels;
+    - every rim lies above every disk level;
+    - footprints of different components meet only at the chord crossing
+      Y of a crossing between them, and there inside one edge of each.
+
+    So a band meets no other surface: another surface's walls keep out
+    of its diamond and its disks lie below it.  Two disks are parallel at
+    distinct levels.  A disk at level L meets the walls of a lower cup of
+    the other surface along that cup's footprint at height L, inside the
+    disk's footprint (``_disk_section``): the section crosses the
+    footprint's boundary at its points Y, and it is cut where it crosses
+    the ear clip's diagonals, at the footprint's vertices (the quads'
+    vertical edges) and where each quad's diagonal passes height L.  Two
+    walls meet in the vertical segment over each Y they share, cut at
+    both quads' diagonal heights (``_wall_segments``).  These are the
+    segments of the triangle pairs, point for point, and no box, shadow
+    or 3D kernel is needed to find them.  The tests check the four facts
+    on every test input, and these curves against the triangle-pair
+    reference.
     """
-    segs = {}   # unordered key pair -> [p, q in key order, witnesses]
-    for ia, ib, r in F_a.meets(F_b):
-        if r[0] == "polygon":
-            raise NotGeneric("overlapping coplanar triangles")
-        if r[0] == "point":
-            # tolerated only when a curve endpoint lands on a triangle
-            # corner of the *other* pair member; real isolated contact
-            # shows up as an unmatched key below
-            p = q = r[1]
-        else:
-            p, q = r[1]
-        kp, kq = point_key(p), point_key(q)
-        # the kernel's segment runs along n_a x n_b: +1 when that is key order
-        way = 1 if kp <= kq else -1
-        key, ends = ((kp, kq), (p, q)) if way > 0 else ((kq, kp), (q, p))
-        segs.setdefault(key, [*ends, []])[2].append((ia, ib, way))
-
-    oriented = []
-    for (kp, kq), (p, q, wits) in segs.items():
-        if kp == kq:
-            continue  # point contacts are checked after stitching
-        dirs = set()
-        for ia, ib, way in wits:
-            # parallel normals: coplanar triangles touching along an edge
-            if v_cross(F_a.planes[ia][0], F_b.planes[ib][0]) == (0, 0, 0):
-                raise NotGeneric("tangential surface contact")
-            dirs.add(way)
-        if len(dirs) != 1:
-            raise NotGeneric("inconsistent orientation along intersection")
-        oriented.append((p, q) if dirs.pop() > 0 else (q, p))
-
-    chains, loops = stitch(oriented)
-    ends = {k for kp, kq in segs if kp != kq for k in (kp, kq)}
-    if any(kp == kq and kp not in ends for kp, kq in segs):
-        raise NotGeneric("isolated surface contact point")
+    F, G = e.surfaces[lo], e.surfaces[hi]
+    segs = []
+    for c in F.cups:
+        ks = dict(c.crossings)
+        for d in G.cups:
+            shared = [(ks[xi], k) for xi, k in d.crossings if xi in ks]
+            D, P, R = _common(c.footprint, d.footprint)
+            if d.level < c.level:
+                segs += _disk_section(D, c, P, G, d, R, shared, False)
+            else:
+                segs += _disk_section(D, d, R, F, c, P, [(b, a) for a, b in shared], True)
+            segs += _wall_segments(D, F, c, P, G, d, R, shared)
+    chains, loops = stitch(segs)
     return [IntersectionCurve(points=tuple(c), kind="arc") for c in chains] + [
         IntersectionCurve(points=tuple(c), kind="circle") for c in loops
     ]
 
 
+def _common(f, g):
+    """Two lifted footprints (D, points) at the denominator lcm: (D, P, R)."""
+    (Df, P), (Dg, R) = f, g
+    D = lcm(Df, Dg)
+    if D != Df:
+        P = [(x * (D // Df), y * (D // Df)) for x, y in P]
+    if D != Dg:
+        R = [(x * (D // Dg), y * (D // Dg)) for x, y in R]
+    return D, P, R
+
+
+def _cross_param(p0, p1, a, b):
+    """(num, den), den > 0: where the line p0 p1 meets the line a b, as
+    the parameter num / den along p0 -> p1; the lines are not parallel."""
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    num = (a[0] - p0[0]) * ey - (a[1] - p0[1]) * ex
+    den = (p1[0] - p0[0]) * ey - (p1[1] - p0[1]) * ex
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _at(D, R, k, num, den):
+    """The rational xy at parameter num / den along edge k of R, over D."""
+    (x0, y0), (x1, y1) = R[k], R[(k + 1) % len(R)]
+    return (Q(den * x0 + num * (x1 - x0), den * D),
+            Q(den * y0 + num * (y1 - y0), den * D))
+
+
+def _disk_section(D, x, P, W, w, R, shared, hi_disk):
+    """Oriented segments where the disk of cup x meets the walls of the
+    lower cup w of surface W, at the disk's level.
+
+    P and R are the footprints of x and w over one denominator D, and
+    ``shared`` pairs the edge of P with the edge of R at each point Y
+    they share.  Each run of R inside P starts at a Y where R crosses to
+    P's inner side, or, when they share no Y and R lies inside P, at R's
+    first vertex.  The disk's normal is (0, 0, s) for s the footprint's
+    orientation, and a wall quad's normal is the left normal of its edge,
+    so n_lo x n_hi runs along R when s > 0 and the disk is F_hi's, or
+    s < 0 and it is F_lo's.
+    """
+    clip = x.clip
+    s = orient2(*(P[i] for i in clip[0]))
+    owner = {}
+    for t, (i, j, k) in enumerate(clip):
+        owner[i, j] = owner[j, k] = owner[k, i] = t
+    n, m = len(P), len(R)
+    runs = []
+    for kx, kw in shared:
+        a, b = P[kx], P[(kx + 1) % n]
+        p0, p1 = R[kw], R[(kw + 1) % m]
+        if s * ((b[0] - a[0]) * (p1[1] - p0[1]) - (b[1] - a[1]) * (p1[0] - p0[0])) > 0:
+            runs.append(_walk_section(P, clip, owner, s, R, kw, _cross_param(p0, p1, a, b),
+                                      owner[kx, (kx + 1) % n], False))
+    if not shared and point_in_polygon(P, R[0]):
+        first = next(t for t, tri in enumerate(clip)
+                     if _in_closed_tri2(P[tri[0]], P[tri[1]], P[tri[2]], R[0], s))
+        runs.append(_walk_section(P, clip, owner, s, R, 0, (0, 1), first, True))
+    along = (s > 0) == hi_disk
+    L, walls = x.level, W.triangles[w.walls.start:w.walls.stop:2]
+    out = []
+    for cuts in runs:
+        pts = []
+        for (k, num, den), nxt in zip(cuts, cuts[1:] + [None]):
+            pts.append(walls[k][0][:2] if num == 0 else _at(D, R, k, num, den))
+            if nxt is None:
+                break
+            # the quad's diagonal p -> qb passes height L at p + u (q - p)
+            p = walls[k][0]
+            u = (p[2] - L) / (p[2] - w.level)
+            if num * u.denominator < u.numerator * den and (
+                    nxt[0] != k or u.numerator * nxt[2] < nxt[1] * u.denominator):
+                pts.append(_at(D, R, k, u.numerator, u.denominator))
+        pts = [(px, py, L) for px, py in pts]
+        out += [(p, q) if along else (q, p) for p, q in zip(pts, pts[1:])]
+    return out
+
+
+def _walk_section(P, clip, owner, s, R, k, t, tri, closed):
+    """Cuts (k, num, den) of a run of the polyline R through the ear clip
+    of P, in order along R, from parameter t of edge k in triangle
+    ``tri``: each vertex of R passed (num = 0) and each crossing of an
+    edge of the clip, to P's boundary, or (``closed``) round to the
+    start.
+
+    This is the straight walk through a triangulation (Devillers, Pion
+    and Teillaud, "Walking in a triangulation", IJFCS 13, 2002).  No
+    corner of the clip lies on R (footprints meet only inside edges), so
+    an edge of R that does not end in the current triangle leaves it
+    through the one edge (u, v), in winding order, whose corners lie
+    strictly on either side of its line: u right of it and v left when
+    s > 0, and the other way round when s < 0.
+    """
+    m = len(R)
+    cuts = [(k, *t)]
+    tn, td = t
+    start = k
+    while True:
+        (x0, y0), p1 = R[k], R[(k + 1) % m]
+        dx, dy = p1[0] - x0, p1[1] - y0
+        while True:
+            i, j, l = clip[tri]
+            if _in_closed_tri2(P[i], P[j], P[l], p1, s):
+                break
+            for u, v in ((i, j), (j, l), (l, i)):
+                su = s * (dx * (P[u][1] - y0) - dy * (P[u][0] - x0))
+                sv = s * (dx * (P[v][1] - y0) - dy * (P[v][0] - x0))
+                if su < 0 < sv:
+                    break
+            else:
+                raise NotGeneric("wall section lost in a disk")
+            num, den = _cross_param(R[k], p1, P[u], P[v])
+            if num * td > tn * den:
+                cuts.append((k, num, den))
+                tn, td = num, den
+            tri = owner.get((v, u))
+            if tri is None:
+                return cuts
+        k = (k + 1) % m
+        cuts.append((k, 0, 1))
+        tn, td = 0, 1
+        if closed and k == start:
+            return cuts
+
+
+def _wall_segments(D, F, c, P, G, d, R, shared):
+    """Oriented vertical segments where the walls of cup c of F_lo meet
+    those of cup d of F_hi: over each point Y that edge kc of c's
+    footprint shares with edge kd of d's, from the higher level up to the
+    lower rim, cut where either quad's diagonal passes Y.  Both normals
+    are horizontal, the left normals of the edges, so n_lo x n_hi points
+    up when edge kd turns left from edge kc.  P and R are the footprints
+    of c and d over one denominator D."""
+    out = []
+    for kc, kd in shared:
+        a, b = P[kc], P[(kc + 1) % len(P)]
+        p0, p1 = R[kd], R[(kd + 1) % len(R)]
+        num, den = _cross_param(a, b, p0, p1)
+        zc = _wall_heights(F, c, kc, Q(num, den))
+        zd = _wall_heights(G, d, kd, Q(*_cross_param(p0, p1, a, b)))
+        bottom, top = max(c.level, d.level), min(zc[0], zd[0])
+        zs = sorted({bottom, top} | {z for z in (zc[1], zd[1]) if bottom < z < top})
+        x, y = _at(D, P, kc, num, den)
+        pts = [(x, y, z) for z in zs]
+        up = (b[0] - a[0]) * (p1[1] - p0[1]) - (b[1] - a[1]) * (p1[0] - p0[0]) > 0
+        out += [(p, q) if up else (q, p) for p, q in zip(pts, pts[1:])]
+    return out
+
+
+def _wall_heights(S, cup, k, u):
+    """Heights of the rim and of the quad's diagonal at parameter u along
+    the wall quad over footprint edge k of a cup of surface S."""
+    p, q = S.triangles[cup.walls.start + 2 * k][:2]
+    return p[2] + u * (q[2] - p[2]), p[2] + u * (cup.level - p[2])
+
+
 def reversed_intersection(curves):
-    """``surface_intersection(F_b, F_a)`` from the curves of
-    ``surface_intersection(F_a, F_b)``.
+    """The intersection curves of (F_b, F_a) from those of (F_a, F_b).
 
     Swapping the surfaces negates n_a x n_b, so every curve runs backwards:
     arcs are reversed and re-sorted by their new first point, circles keep
@@ -144,17 +303,18 @@ def reversed_intersection(curves):
 
 
 def embedded_intersection(e, a, b):
-    """``surface_intersection(F_a, F_b)`` of an embedding.
+    """The oriented intersection curves of F_a and F_b of an embedding.
 
-    Each unordered pair is intersected once, as (lo, hi) with lo < hi, and
-    kept in ``e.intersections``; the (hi, lo) curves are its reversal.  A
+    Each unordered pair is intersected once, by ``cup_intersection`` as
+    (lo, hi) with lo < hi, and kept in ``e.intersections``; the (hi, lo)
+    curves are its reversal.  A
     NotGeneric propagates before anything is stored, and the rebuild of
     ``embed.measured`` is a fresh embedding with an empty cache.
     """
     lo, hi = min(a, b), max(a, b)
     curves = e.intersections.get((lo, hi))
     if curves is None:
-        curves = surface_intersection(e.surfaces[lo], e.surfaces[hi])
+        curves = cup_intersection(e, lo, hi)
         e.intersections[(lo, hi)] = curves
     return list(curves) if a < b else reversed_intersection(curves)
 

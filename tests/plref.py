@@ -6,7 +6,11 @@ segment against one triangle) without building a surface.  The edge-hit
 triangle kernel that ``plgeom.triangle_triangle`` replaced lives on here
 as its differential reference, with the segment hits it is built from.
 So do the rational float boxes and the per-row ``check_embedded`` and
-``meets`` scans that ``BoxIndex.pairs`` replaced.
+``meets`` scans that ``BoxIndex.pairs`` replaced.  The generic
+intersection of two triangulated surfaces, ``surface_intersection``
+over the triangle pairs of ``sweep_meets``, is the reference that
+``trace.cup_intersection`` must equal on every embedding, and it
+intersects hand-made surfaces that have no cups.
 The seeded braid closures that several test modules run on are made here
 too, so that they are one set.
 """
@@ -16,6 +20,7 @@ from bisect import bisect_right
 
 from masseylink.errors import NotGeneric
 from masseylink.fixtures import braid_closure
+from masseylink.trace import IntersectionCurve
 from masseylink.plgeom import (
     EMPTY,
     IntTriangle,
@@ -32,7 +37,9 @@ from masseylink.plgeom import (
     int_triangle,
     lift,
     orient2,
+    point_key,
     shadows_apart,
+    stitch,
     tri_normal,
     triangle_triangle,
     v_add,
@@ -237,7 +244,7 @@ def rational_rows(items):
 
 
 def meets(surface, other):
-    """``PLSurface.meets`` as one ``BoxIndex.query`` row scan per triangle
+    """``sweep_meets`` as one ``BoxIndex.query`` row scan per triangle
     of ``surface``, then the shadow reject, then the kernel, as a list."""
     out = []
     for i, row in enumerate(surface.index.arr):
@@ -249,6 +256,71 @@ def meets(surface, other):
             if r[0] != "empty":
                 out.append((i, j, r))
     return out
+
+
+def sweep_meets(surface, other):
+    """(i, j, r), in (i, j) order, for each triangle i of ``surface`` and
+    j of ``other`` that meet: candidates from ``BoxIndex.pairs``, then
+    the shadow reject, then the kernel.  ``meets`` is its reference."""
+    A, B = surface.lifted, other.lifted
+    for i, j in surface.index.pairs(other.index):
+        if shadows_apart(A[i], B[j]):
+            continue
+        r = triangle_triangle(A[i], B[j], surface.planes[i], other.planes[j])
+        if r[0] != "empty":
+            yield i, j, r
+
+
+def surface_intersection(F_a, F_b):
+    """Connected oriented components of the point set F_a meet F_b.
+
+    Segments come from the triangle pairs of ``sweep_meets(F_a, F_b)``.
+    Arcs come first, then circles, each in the order of ``stitch``.
+    Points are keyed on the integers of ``point_key``, compared as
+    rationals only to order the output.  Each segment is oriented by the
+    contract of ``triangle_triangle``: from triangles whose planes are not
+    parallel it runs along n_a x n_b, so a witness pair says +1 when its
+    segment is in key order and -1 when not, and every witness of one
+    segment must say the same.
+    """
+    segs = {}   # unordered key pair -> [p, q in key order, witnesses]
+    for ia, ib, r in sweep_meets(F_a, F_b):
+        if r[0] == "polygon":
+            raise NotGeneric("overlapping coplanar triangles")
+        if r[0] == "point":
+            # tolerated only when a curve endpoint lands on a triangle
+            # corner of the *other* pair member; real isolated contact
+            # shows up as an unmatched key below
+            p = q = r[1]
+        else:
+            p, q = r[1]
+        kp, kq = point_key(p), point_key(q)
+        # the kernel's segment runs along n_a x n_b: +1 when that is key order
+        way = 1 if kp <= kq else -1
+        key, ends = ((kp, kq), (p, q)) if way > 0 else ((kq, kp), (q, p))
+        segs.setdefault(key, [*ends, []])[2].append((ia, ib, way))
+
+    oriented = []
+    for (kp, kq), (p, q, wits) in segs.items():
+        if kp == kq:
+            continue  # point contacts are checked after stitching
+        dirs = set()
+        for ia, ib, way in wits:
+            # parallel normals: coplanar triangles touching along an edge
+            if v_cross(F_a.planes[ia][0], F_b.planes[ib][0]) == (0, 0, 0):
+                raise NotGeneric("tangential surface contact")
+            dirs.add(way)
+        if len(dirs) != 1:
+            raise NotGeneric("inconsistent orientation along intersection")
+        oriented.append((p, q) if dirs.pop() > 0 else (q, p))
+
+    chains, loops = stitch(oriented)
+    ends = {k for kp, kq in segs if kp != kq for k in (kp, kq)}
+    if any(kp == kq and kp not in ends for kp, kq in segs):
+        raise NotGeneric("isolated surface contact point")
+    return [IntersectionCurve(points=tuple(c), kind="arc") for c in chains] + [
+        IntersectionCurve(points=tuple(c), kind="circle") for c in loops
+    ]
 
 
 def check_embedded(surface):

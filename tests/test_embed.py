@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import random
 import re
+from collections import Counter
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from math import gcd, isqrt
@@ -45,7 +47,9 @@ from masseylink.plgeom import (
     orient2,
 )
 from masseylink.rational import Q
-from plref import banded_closures, qpoint as P, rational_rows, seeded_closures
+from plref import (
+    banded_closures, qpoint as P, rational_rows, seeded_closures, surface_intersection,
+    sweep_meets)
 
 
 def _euler(surface):
@@ -471,23 +475,98 @@ def test_nesting_forest_consistent():
 # -- embeddings --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _lemma_embeddings():
+    """(name, perturbation index, embedding) of every fixture,
+    clasp_family(1..5), the seeded closures and the banded closures, at
+    perturbations 0 and 1: the inputs the lemmas of build_embedding and
+    trace.cup_intersection are checked on."""
+    inputs = [(name, load_fixture(name)) for name in fixture_names()]
+    inputs += [("clasp%d" % k, clasp_family(k)) for k in range(1, 6)]
+    return [(name, p, build_embedding(d, perturb_index=p))
+            for name, d in inputs + seeded_closures() + banded_closures()
+            for p in (0, 1)]
+
+
 def test_embedding_boundary_is_curve():
     # the boundary lemma of build_embedding, which verify_embedding relies
     # on: each surface's boundary is one loop with its curve's vertex list,
     # exactly, up to rotation (no collinear subdivision either way)
-    inputs = [(name, load_fixture(name)) for name in fixture_names()]
-    inputs += [("clasp%d" % k, clasp_family(k)) for k in range(1, 6)]
     surfaces = 0
-    for name, d in inputs + seeded_closures() + banded_closures():
-        for perturb_index in (0, 1):
-            e = build_embedding(d, perturb_index=perturb_index)
-            for i, surf in e.surfaces.items():
-                (loop,) = surf.boundary_curves()
-                vs, ws = loop.vertices, e.curves[i].vertices
-                k = ws.index(vs[0])
-                assert vs == ws[k:] + ws[:k], (name, perturb_index, i)
-                surfaces += 1
+    for name, perturb_index, e in _lemma_embeddings():
+        for i, surf in e.surfaces.items():
+            (loop,) = surf.boundary_curves()
+            vs, ws = loop.vertices, e.curves[i].vertices
+            k = ws.index(vs[0])
+            assert vs == ws[k:] + ws[:k], (name, perturb_index, i)
+            surfaces += 1
     assert surfaces == 220
+
+
+# -- the cup lemma of trace.cup_intersection: its four inputs ------------------
+
+
+def test_disk_levels_lie_below_every_rim_and_differ_across_components():
+    for name, p, e in _lemma_embeddings():
+        levels = {i: {c.level for c in F.cups} for i, F in e.surfaces.items()}
+        rims = [v[2] for F in e.surfaces.values() for c in F.cups
+                for t in F.triangles[c.walls.start:c.walls.stop:2] for v in t[:2]]
+        assert max(max(ls) for ls in levels.values()) < min(rims), (name, p)
+        for a, b in combinations(levels, 2):
+            assert not levels[a] & levels[b], (name, p, a, b)
+
+
+def test_footprints_of_components_meet_only_at_their_crossings():
+    # every footprint edge of one component against every one of another,
+    # by exact integer segment tests: they meet only in proper crossings,
+    # one at the chord crossing point of each crossing between the two,
+    # on the edge the cups' records name
+    met = 0
+    for name, p, e in _lemma_embeddings():
+        D = math.lcm(*(c.footprint[0] for F in e.surfaces.values() for c in F.cups))
+        edges = {}
+        for i, F in e.surfaces.items():
+            for c in F.cups:
+                s = D // c.footprint[0]
+                fp = [(x * s, y * s) for x, y in c.footprint[1]]
+                edges[i] = edges.get(i, []) + [
+                    (c, k, fp[k], fp[(k + 1) % len(fp)]) for k in range(len(fp))]
+        for a, b in combinations(sorted(edges), 2):
+            found = []
+            for c, k, u, v in edges[a]:
+                for d, l, w, z in edges[b]:
+                    if (max(u[0], v[0]) < min(w[0], z[0]) or max(w[0], z[0]) < min(u[0], v[0])
+                            or max(u[1], v[1]) < min(w[1], z[1])
+                            or max(w[1], z[1]) < min(u[1], v[1])):
+                        continue
+                    if not seg2_properly_intersect(u, v, w, z):
+                        continue
+                    assert orient2(u, v, w) * orient2(u, v, z) == -1, (name, p, a, b)
+                    assert orient2(w, z, u) * orient2(w, z, v) == -1, (name, p, a, b)
+                    Y = seg2_intersection(u, v, w, z)
+                    found.append(((Y[0] / D, Y[1] / D), (c, k), (d, l)))
+            want = {x: loc.point for x, loc in enumerate(e.drawing.stations)
+                    if {e.diagram.crossings[x].under_component,
+                        e.diagram.crossings[x].over_component} == {a, b}}
+            assert sorted(Y for Y, _, _ in found) == sorted(want.values()), (name, p, a, b)
+            for Y, (c, k), (d, l) in found:
+                (x,) = [x for x, point in want.items() if point == Y]
+                assert (x, k) in c.crossings and (x, l) in d.crossings, (name, p, x)
+            met += len(found)
+    assert met > 0
+
+
+def test_bands_meet_no_other_surface_and_disks_meet_no_other_disk():
+    # the 3D reference over every triangle pair of two surfaces
+    kinds = Counter()
+    for name, p, e in _lemma_embeddings():
+        for a, b in combinations(sorted(e.surfaces), 2):
+            for i, j, _ in sweep_meets(e.surfaces[a], e.surfaces[b]):
+                pair = (e.provenance[a][i].partition(":")[0],
+                        e.provenance[b][j].partition(":")[0])
+                assert "band" not in pair and pair != ("disk", "disk"), (name, p, a, b, i, j)
+                kinds[pair] += 1
+    assert set(kinds) == {("disk", "wall"), ("wall", "disk"), ("wall", "wall")}
 
 
 def test_embedding_with_bands(e_trefoil):
@@ -520,8 +599,6 @@ def test_grid_scale_scales_coordinates(hopf):
 
 def test_pairwise_surfaces_generic(e_borromean):
     # normal position: every intersection component is an arc or circle
-    from masseylink.trace import surface_intersection
-
     for (a, b) in ((1, 2), (2, 3), (1, 3)):
         curves = surface_intersection(
             e_borromean.surfaces[a], e_borromean.surfaces[b]
@@ -666,7 +743,7 @@ def test_band_through_a_disk_is_still_caught():
     bad = dataclasses.replace(
         e,
         surfaces={1: PLSurface([[w if p == v else p for p in t] for t in surf.triangles],
-                               surf.cup_ends)},
+                               surf.cups)},
         curves={1: PLCurve([w if p == v else p for p in e.curves[1].vertices])},
     )
     with pytest.raises(NotGeneric, match="self-intersection") as err:

@@ -14,6 +14,7 @@ from masseylink.errors import InputError, NonzeroLinking, NotGeneric
 from masseylink.fixtures import clasp_family, fixture_names, load_fixture
 from masseylink.plgeom import (
     BoxIndex,
+    Cup,
     PLCurve,
     PLSurface,
     _box_row,
@@ -28,6 +29,7 @@ from masseylink.plgeom import (
     curve_surface_crossings,
     int_triangle,
     lift,
+    linking_number,
     shadows_apart,
     stitch,
     triangle_triangle,
@@ -52,6 +54,7 @@ from plref import (
     rational_triangle_triangle,
     seeded_closures,
     segment_triangle,
+    sweep_meets,
 )
 
 
@@ -357,14 +360,20 @@ def test_validate_returns_rational_boundary_edges_in_order():
     assert all(type(c) is Fraction for e in fan.validate() for v in e for c in v)
 
 
+def _cups(*ends):
+    """Cup records of hand-made surfaces: only where each cup ends."""
+    return [Cup(walls=range(lo, lo), disk=range(lo, hi))
+            for lo, hi in zip((0,) + ends, ends)]
+
+
 def test_check_embedded_skips_pairs_within_one_cup():
     # two crossing triangles: compared unless one cup ends after both
     t1 = (P(0, 0, 0), P(4, 0, 0), P(0, 4, 0))
     t2 = (P(1, 1, -1), P(1, 1, 1), P(2, -3, 0))
-    PLSurface([t1, t2], cup_ends=[2]).check_embedded()
-    for cup_ends in ((), [1], [1, 2]):
+    PLSurface([t1, t2], cups=_cups(2)).check_embedded()
+    for ends in ((), (1,), (1, 2)):
         with pytest.raises(NotGeneric):
-            PLSurface([t1, t2], cup_ends=cup_ends).check_embedded()
+            PLSurface([t1, t2], cups=_cups(*ends)).check_embedded()
 
 
 def test_check_embedded_matches_per_row_scan():
@@ -420,8 +429,8 @@ def test_check_embedded_reports_contacts_across_parts():
 
     (a, b), (c, d) = crossing(100), crossing(0)
     far = crossing(1000)[0]
-    cases = [(PLSurface([b, d, c, a], cup_ends=[1, 2, 4]), "between 0 and 3"),
-             (PLSurface([far, b, c, d, a], cup_ends=[1]), "between 1 and 4")]
+    cases = [(PLSurface([b, d, c, a], cups=_cups(1, 2, 4)), "between 0 and 3"),
+             (PLSurface([far, b, c, d, a], cups=_cups(1)), "between 1 and 4")]
     for s, message in cases:
         for check in (PLSurface.check_embedded, ref_check_embedded):
             with pytest.raises(NotGeneric, match=message):
@@ -572,16 +581,16 @@ def test_meets_matches_query_scan():
             for b, Fb in e.surfaces.items():
                 if b != a:
                     want = ref_meets(F, Fb)
-                    assert list(F.meets(Fb)) == want, (name, a, b)
+                    assert list(sweep_meets(F, Fb)) == want, (name, a, b)
                     found += len(want)
     assert found > 0
     # a surface given as the other one is compared in every ordered pair,
     # each triangle with itself and within one cup too
     t1 = (P(0, 0, 0), P(4, 0, 0), P(0, 4, 0))
     t2 = (P(1, 1, -1), P(1, 1, 1), P(2, -3, 0))
-    s = PLSurface([t1, t2], cup_ends=[2])
-    assert [(i, j) for i, j, _ in s.meets(s)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert list(s.meets(s)) == ref_meets(s, s)
+    s = PLSurface([t1, t2], cups=_cups(2))
+    assert [(i, j) for i, j, _ in sweep_meets(s, s)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(sweep_meets(s, s)) == ref_meets(s, s)
 
 
 @lru_cache(maxsize=None)
@@ -680,6 +689,31 @@ def test_locate_matches_linear_scan():
                     assert curve.locate(p) == want, p
                     found.add(want is None)
     assert found == {True, False}
+
+
+def test_linking_number_reads_a_projection():
+    # a square in the plane z = 0 and a square through it: linked once,
+    # the sign flips with either orientation; a copy shifted off the first
+    # square does not link it.  The through-square has vertical sides,
+    # which the straight-down projection squashes to points, so a tilted
+    # direction is read
+    flat = PLCurve([P(0, 0, 0), P(4, 0, 0), P(4, 4, 0), P(0, 4, 0)])
+    ring = PLCurve([P(1, 3, -1), P(1, 3, 1), P(5, 3, 1), P(5, 3, -1)])
+    away = PLCurve([P(9, 2, -1), P(9, 2, 1), P(13, 2, 1), P(13, 2, -1)])
+    lk = linking_number(flat, ring)
+    assert lk in (1, -1)
+    assert linking_number(ring, flat) == lk
+    assert linking_number(flat.reversed(), ring) == -lk
+    assert linking_number(flat, ring.reversed()) == -lk
+    assert linking_number(flat, away) == 0
+    # the sign agrees with the pierce count of the ring through the
+    # square's disk
+    disk = PLSurface([(P(0, 0, 0), P(4, 0, 0), P(4, 4, 0)), (P(0, 0, 0), P(4, 4, 0), P(0, 4, 0))])
+    assert curve_surface_count(ring, disk) == lk
+    # curves that meet have no linking number in any direction
+    touching = PLCurve([P(4, 2, 0), P(4, 2, 1), P(7, 2, 1), P(7, 2, -1)])
+    with pytest.raises(NotGeneric, match="no generic projection"):
+        linking_number(flat, touching)
 
 
 def test_boundary_curves_of_disk():

@@ -7,12 +7,13 @@ from itertools import permutations
 
 import pytest
 
-from masseylink import trace
+from masseylink import plgeom, trace
 from masseylink.embed import build_embedding
 from masseylink.errors import NonzeroLinking, NotGeneric, StuckTrace
 from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
 from masseylink.massey import massey3
-from masseylink.plgeom import PLCurve, PLSurface, v_sub, v_cross, v_dot
+from masseylink.plgeom import (
+    PLCurve, PLSurface, curve_surface_count, linking_number, v_sub, v_cross, v_dot)
 from masseylink.rational import Q, sign
 from masseylink.trace import (
     BoundaryPiece,
@@ -21,17 +22,17 @@ from masseylink.trace import (
     embedded_intersection,
     pierce_points,
     reversed_intersection,
-    surface_intersection,
     trace_derived_boundary,
 )
-from plref import qpoint as P, seeded_closures
+from plref import (
+    banded_closures, qpoint as P, seeded_closures, surface_intersection, sweep_meets)
 
 
 def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0)):
     """Derived boundary of the ordered pair on explicit curves and
     surfaces, with no embedding and no cache."""
     return trace._trace(K_a, K_b, trace._balanced_pierces(K_a, F_b, pair), pair,
-                        trace.surface_intersection(F_a, F_b))
+                        surface_intersection(F_a, F_b))
 
 
 # -- surface_intersection on hand geometry ------------------------------------
@@ -259,17 +260,17 @@ def _pairs_of(calls, e):
 
 
 def _count_intersections(monkeypatch, fail_first=False):
-    """Record (id of F_a, id of F_b) per surface_intersection call."""
+    """Record (id of F_lo, id of F_hi) per cup_intersection call."""
     calls = []
-    orig = trace.surface_intersection
+    orig = trace.cup_intersection
 
-    def counting(F_a, F_b):
-        calls.append((id(F_a), id(F_b)))
+    def counting(e, lo, hi):
+        calls.append((id(e.surfaces[lo]), id(e.surfaces[hi])))
         if fail_first and len(calls) == 1:
             raise NotGeneric("forced degeneracy")
-        return orig(F_a, F_b)
+        return orig(e, lo, hi)
 
-    monkeypatch.setattr(trace, "surface_intersection", counting)
+    monkeypatch.setattr(trace, "cup_intersection", counting)
     return calls
 
 
@@ -755,3 +756,77 @@ def test_one_walk_matches_two_phase_trace():
     assert set(shapes) == {"circle", "K_a only", "K_a visits K_b", "K_b only"}
     assert per_pair["brunn_3", 2, 1]["K_b only"] == 3
     assert per_pair["closure(1, 2, -2, -1, -1, 1)", 1, 2]["K_a visits K_b"] > 0
+
+
+# -- the cup intersection against the triangle-pair reference ------------------
+
+
+def _differential_cases():
+    """(name, grid scale, perturbation index, diagram): every fixture,
+    clasp_family(1..6), the seeded and the banded closures at
+    perturbations 0 and 1, and two inputs at grid scale 2**40."""
+    diagrams = ([(name, load_fixture(name)) for name in fixture_names()]
+                + [("clasp_family(%d)" % k, clasp_family(k)) for k in range(1, 7)]
+                + seeded_closures() + banded_closures())
+    return ([(name, 1, p, d) for name, d in diagrams for p in (0, 1)]
+            + [("borromean", 2**40, 0, load_fixture("borromean")),
+               ("clasp_family(1)", 2**40, 0, clasp_family(1))])
+
+
+def test_cup_intersection_equals_triangle_pair_reference():
+    # every ordered surface pair: the same curves, kinds, points and order
+    # as the generic intersection of all triangle pairs; the inputs meet
+    # disk against wall with the disk on either surface of the pair
+    kinds = Counter()
+    for name, g, p, d in _differential_cases():
+        e = build_embedding(d, grid_scale=g, perturb_index=p)
+        for a, b in _ordered_pairs(e):
+            F, G = e.surfaces[a], e.surfaces[b]
+            assert embedded_intersection(e, a, b) == surface_intersection(F, G), (
+                name, g, p, a, b)
+            if a < b:
+                kinds.update((e.provenance[a][i].partition(":")[0],
+                              e.provenance[b][j].partition(":")[0])
+                             for i, j, _ in sweep_meets(F, G))
+    assert kinds["disk", "wall"] > 0 and kinds["wall", "disk"] > 0, kinds
+
+
+def test_cup_intersection_runs_no_box_shadow_or_kernel(monkeypatch):
+    e = build_embedding(clasp_family(2))
+    calls = Counter()
+    for owner, name in ((plgeom.BoxIndex, "pairs"), (plgeom, "shadows_apart"),
+                        (plgeom, "triangle_triangle")):
+        def counting(*args, _orig=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(owner, name, counting)
+    curves = [embedded_intersection(e, a, b) for a, b in _ordered_pairs(e)]
+    assert sum(map(len, curves)) > 0 and not calls
+    # the counters count: the embedding check of a surface with no cups
+    # calls all three
+    PLSurface(e.surfaces[1].triangles).check_embedded()
+    assert set(calls) == {"pairs", "shadows_apart", "triangle_triangle"}
+
+
+def test_traced_loops_link_like_their_projections():
+    # a check with no surface: the pierce count of each traced loop
+    # through F_i, which first_term sums, is its linking number with K_i
+    # read off a projection; and each pair of curves links as in the
+    # diagram
+    values = Counter()
+    for name, d in _walk_cases() + banded_closures():
+        e = build_embedding(d)
+        for a, b in _ordered_pairs(e):
+            assert linking_number(e.curves[a], e.curves[b]) == d.linking_number(a, b), (
+                name, a, b)
+        for j, k in _ordered_pairs(e):
+            if d.linking_number(j, k):
+                continue
+            loops = trace_derived_boundary(e, j, k).loop_curves()
+            for i in set(e.curves) - {j, k}:
+                for loop in loops:
+                    lk = linking_number(loop, e.curves[i])
+                    assert curve_surface_count(loop, e.surfaces[i]) == lk, (name, i, j, k)
+                    values[lk] += 1
+    # 211 loops, from -3 to 3, 82 of them linked
+    assert min(values) < 0 < max(values) and sum(values.values()) - values[0] > 50, values
