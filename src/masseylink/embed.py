@@ -25,7 +25,8 @@ from .drawing import (
     UNDER_DIP, draw_diagram, point_in_polygon, polygon_area2, segments_touch)
 from .errors import InputError, NotGeneric
 from .plgeom import (
-    Cup, PLCurve, PLSurface, lift, orient2, v_add, v_cross, v_lerp, v_scale, v_sub)
+    Cup, PLCurve, PLSurface, in_closed_tri2, lift, orient2, v_add, v_cross, v_lerp,
+    v_scale, v_sub)
 from .rational import Q
 
 
@@ -163,7 +164,7 @@ def _ear_clip(poly2, orient):
                     continue
                 p = poly2[j]
                 if (x0 <= p[0] <= x1 and y0 <= p[1] <= y1
-                        and _in_closed_tri2(a, b, c, p, orient)):
+                        and in_closed_tri2(a, b, c, p, orient)):
                     ok = False
                     break
             if ok:
@@ -179,13 +180,6 @@ def _ear_clip(poly2, orient):
     elif orient2(poly2[i0], poly2[i1], poly2[i2]) != 0:
         raise NotGeneric("final triangle has reversed orientation")
     return tris
-
-
-def _in_closed_tri2(a, b, c, p, orient):
-    s1 = orient2(a, b, p) * orient
-    s2 = orient2(b, c, p) * orient
-    s3 = orient2(c, a, p) * orient
-    return s1 >= 0 and s2 >= 0 and s3 >= 0
 
 
 # ---------------------------------------------------------------------------

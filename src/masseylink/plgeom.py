@@ -7,9 +7,8 @@ degeneracy resolved are expected to perturb their input and retry.
 The triangle kernel decides every sign on integers (see "integer forms").
 
 Every candidate pair (two triangles of one surface in
-``PLSurface.check_embedded``, a curve segment and a triangle, two
-segments of two curves in ``linking_number``, or two plane segments of
-``drawing.segments_touch``) comes from one sweep over two sets of float
+``PLSurface.check_embedded``, a curve segment and a triangle, or two
+plane segments of ``drawing.segments_touch``) comes from one sweep over two sets of float
 boxes, ``BoxIndex.pairs``.  A triangle pair of ``check_embedded`` then
 passes two more tests: their xy shadows must not be proved apart
 (``shadows_apart``, exact), and only then does the exact kernel
@@ -182,6 +181,12 @@ def _proj(p, ax):
 
 def orient2(a, b, c):
     return sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def in_closed_tri2(a, b, c, p, orient):
+    """Is p in the closed plane triangle abc of orientation ``orient``?"""
+    return (orient2(a, b, p) * orient >= 0 and orient2(b, c, p) * orient >= 0
+            and orient2(c, a, p) * orient >= 0)
 
 
 def _orient2h(a, b, c):
@@ -523,16 +528,15 @@ class Cup(NamedTuple):
     is (D, points): the rim's xy as integers over one denominator D.
     ``crossings`` pairs each crossing of this circle with another
     component with the footprint edge k that holds the crossing point of
-    its chords, as (crossing, k).  A hand-made surface may give only the
-    two ranges.
+    its chords, as (crossing, k).
     """
 
     walls: range
     disk: range
-    level: object = None
-    footprint: tuple = (1, ())
-    clip: tuple = ()
-    crossings: tuple = ()
+    level: object
+    footprint: tuple
+    clip: tuple
+    crossings: tuple
 
 
 class PLSurface:
@@ -693,9 +697,9 @@ class BoxIndex:
     from, one ``_box_row`` per item in item order; the owners, ``PLCurve``
     and ``PLSurface``, compute each row once, and ``check_embedded`` slices
     them.  ``pairs`` of two indexes is the one way the package finds
-    candidate pairs: for ``check_embedded``, curve crossings,
-    ``linking_number`` and ``drawing.segments_touch``; ``query``, a scan of every row against one box, is what it must equal,
-    and ``PLCurve.locate`` takes its candidates from it, so it stays here.
+    candidate pairs: for ``check_embedded``, curve crossings and
+    ``drawing.segments_touch``; ``query``, a scan of every row against
+    one box, is what it must equal, and ``PLCurve.locate`` takes its candidates from it, so it stays here.
     A corner past the float range is an InputError.
     No pair whose exact boxes overlap is missed, at any scale: min(ints) /
     D is one correctly rounded int/int division, the ``float`` of the
@@ -791,77 +795,6 @@ def curve_surface_crossings(curve, surface):
 def curve_surface_count(curve, surface):
     """Signed count of pierces; +1 per negative-to-positive-side crossing."""
     return sum(s for _, _, s, _ in curve_surface_crossings(curve, surface))
-
-
-# projection directions (p, q) of ``linking_number``, tried in order
-_DIRECTIONS = ((0, 0), (1, 2), (-2, 1), (3, -1), (-1, -3), (2, 5), (-5, 2), (4, 7))
-
-
-def linking_number(c1, c2):
-    """Linking number of two disjoint closed PLCurves, read off a
-    projection, with no surface.
-
-    The curves are projected along v = (p, q, 1): (x, y, z) goes to
-    (x - p z, y - q z).  At a crossing of a segment of c1 with one of c2
-    in the projection, the one with the greater z there is over, and the
-    crossing counts sign((over direction) x (under direction)).  The sum
-    over the crossings where c1 is over and the sum over those where c2
-    is over are both the linking number, so they must agree.  A direction
-    is degenerate when a segment projects to a point, when two projected
-    segments meet other than in one point inside both, or when a crossing
-    has equal heights (then the curves meet, and every direction is);
-    the next (p, q) of ``_DIRECTIONS`` is tried, and NotGeneric raised
-    after the last.  Candidate pairs come from ``BoxIndex.pairs`` over
-    the projected segments' boxes at z = 0; every test is on integers
-    over one common denominator.
-    """
-    n1 = len(c1)
-    D, pts = lift(c1.vertices + c2.vertices)
-    for p, q in _DIRECTIONS:
-        proj = [(x - p * z, y - q * z) for x, y, z in pts]
-        segs = [[(k, (k + 1) % n1) for k in range(n1)],
-                [(n1 + k, n1 + (k + 1) % len(c2)) for k in range(len(c2))]]
-        if any(proj[i] == proj[j] for seg in segs for i, j in seg):
-            continue
-        idx = [BoxIndex([_box_row((D, (proj[i] + (0,), proj[j] + (0,)))) for i, j in seg])
-               for seg in segs]
-        sums = _projected_crossings(pts, proj, segs, idx[0].pairs(idx[1]))
-        if sums is not None:
-            if sums[0] != sums[1]:
-                raise NotGeneric("over and under sums of a projection disagree")
-            return sums[0]
-    raise NotGeneric("no generic projection direction for a linking number")
-
-
-def _projected_crossings(pts, proj, segs, pairs):
-    """(sum where c1 is over, sum where c2 is over) of the crossing signs
-    of the candidate segment pairs, or None on a degenerate direction."""
-    over = [0, 0]
-    for i, j in pairs:
-        (a0, a1), (b0, b1) = segs[0][i], segs[1][j]
-        a, b, c, d = proj[a0], proj[a1], proj[b0], proj[b1]
-        o = (orient2(a, b, c), orient2(a, b, d), orient2(c, d, a), orient2(c, d, b))
-        if o[0] * o[1] < 0 and o[2] * o[3] < 0:
-            # heights at the crossing: a + t (b - a) and c + u (d - c)
-            e, f = (b[0] - a[0], b[1] - a[1]), (d[0] - c[0], d[1] - c[1])
-            den = e[0] * f[1] - e[1] * f[0]
-            t = Q((c[0] - a[0]) * f[1] - (c[1] - a[1]) * f[0], den)
-            u = Q((c[0] - a[0]) * e[1] - (c[1] - a[1]) * e[0], den)
-            z1 = pts[a0][2] + t * (pts[a1][2] - pts[a0][2])
-            z2 = pts[b0][2] + u * (pts[b1][2] - pts[b0][2])
-            if z1 == z2:
-                return None
-            over[z1 < z2] += sign(den) if z1 > z2 else -sign(den)
-        elif any(s == 0 and _in_box(u, v, w) for s, (u, v, w) in zip(
-                o, ((a, b, c), (a, b, d), (c, d, a), (c, d, b)))):
-            return None
-    return over
-
-
-def _in_box(u, v, w):
-    """Is w in the closed box of u and v (w on their line: w on uv)?"""
-    return (min(u[0], v[0]) <= w[0] <= max(u[0], v[0])
-            and min(u[1], v[1]) <= w[1] <= max(u[1], v[1]))
 
 
 # ---------------------------------------------------------------------------

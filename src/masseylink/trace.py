@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .drawing import point_in_polygon
-from .embed import _in_closed_tri2
 from .errors import NotGeneric, StuckTrace
-from .plgeom import PLCurve, curve_surface_crossings, orient2, stitch
+from .plgeom import PLCurve, curve_surface_crossings, in_closed_tri2, orient2, stitch
 from .rational import Q
 
 
@@ -187,7 +186,7 @@ def _disk_section(D, x, P, W, w, R, shared, hi_disk):
                                       owner[kx, (kx + 1) % n], False))
     if not shared and point_in_polygon(P, R[0]):
         first = next(t for t, tri in enumerate(clip)
-                     if _in_closed_tri2(P[tri[0]], P[tri[1]], P[tri[2]], R[0], s))
+                     if in_closed_tri2(P[tri[0]], P[tri[1]], P[tri[2]], R[0], s))
         runs.append(_walk_section(P, clip, owner, s, R, 0, (0, 1), first, True))
     along = (s > 0) == hi_disk
     L, walls = x.level, W.triangles[w.walls.start:w.walls.stop:2]
@@ -233,7 +232,7 @@ def _walk_section(P, clip, owner, s, R, k, t, tri, closed):
         dx, dy = p1[0] - x0, p1[1] - y0
         while True:
             i, j, l = clip[tri]
-            if _in_closed_tri2(P[i], P[j], P[l], p1, s):
+            if in_closed_tri2(P[i], P[j], P[l], p1, s):
                 break
             for u, v in ((i, j), (j, l), (l, i)):
                 su = s * (dx * (P[u][1] - y0) - dy * (P[u][0] - x0))

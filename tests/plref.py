@@ -10,7 +10,9 @@ So do the rational float boxes and the per-row ``check_embedded`` and
 intersection of two triangulated surfaces, ``surface_intersection``
 over the triangle pairs of ``sweep_meets``, is the reference that
 ``trace.cup_intersection`` must equal on every embedding, and it
-intersects hand-made surfaces that have no cups.
+intersects hand-made surfaces that have no cups.  ``linking_number``
+reads the linking number of two closed curves off a projection, with no
+surface, to check the traced loops against.
 The seeded braid closures that several test modules run on are made here
 too, so that they are one set.
 """
@@ -23,7 +25,9 @@ from masseylink.fixtures import braid_closure
 from masseylink.trace import IntersectionCurve
 from masseylink.plgeom import (
     EMPTY,
+    BoxIndex,
     IntTriangle,
+    _box_row,
     _common,
     _coplanar_triangle_triangle,
     _crossing,
@@ -321,6 +325,78 @@ def surface_intersection(F_a, F_b):
     return [IntersectionCurve(points=tuple(c), kind="arc") for c in chains] + [
         IntersectionCurve(points=tuple(c), kind="circle") for c in loops
     ]
+
+
+# projection directions (p, q) of ``linking_number``, tried in order
+_DIRECTIONS = ((0, 0), (1, 2), (-2, 1), (3, -1), (-1, -3), (2, 5), (-5, 2), (4, 7))
+
+
+def linking_number(c1, c2):
+    """Linking number of two disjoint closed PLCurves, read off a
+    projection, with no surface.
+
+    The curves are projected along v = (p, q, 1): (x, y, z) goes to
+    (x - p z, y - q z).  At a crossing of a segment of c1 with one of c2
+    in the projection, the one with the greater z there is over, and the
+    crossing counts sign((over direction) x (under direction)).  The sum
+    over the crossings where c1 is over and the sum over those where c2
+    is over are both the linking number, so they must agree.  A direction
+    is degenerate when a segment projects to a point, when two projected
+    segments meet other than in one point inside both, or when a crossing
+    has equal heights (then the curves meet, and every direction is);
+    the next (p, q) of ``_DIRECTIONS`` is tried, and NotGeneric raised
+    after the last.  Candidate pairs come from ``BoxIndex.pairs`` over
+    the projected segments' boxes at z = 0; every test is on integers
+    over one common denominator.  It checks traced loops against the
+    surfaces from a side that uses none.
+    """
+    n1 = len(c1)
+    D, pts = lift(c1.vertices + c2.vertices)
+    for p, q in _DIRECTIONS:
+        proj = [(x - p * z, y - q * z) for x, y, z in pts]
+        segs = [[(k, (k + 1) % n1) for k in range(n1)],
+                [(n1 + k, n1 + (k + 1) % len(c2)) for k in range(len(c2))]]
+        if any(proj[i] == proj[j] for seg in segs for i, j in seg):
+            continue
+        idx = [BoxIndex([_box_row((D, (proj[i] + (0,), proj[j] + (0,)))) for i, j in seg])
+               for seg in segs]
+        sums = _projected_crossings(pts, proj, segs, idx[0].pairs(idx[1]))
+        if sums is not None:
+            if sums[0] != sums[1]:
+                raise NotGeneric("over and under sums of a projection disagree")
+            return sums[0]
+    raise NotGeneric("no generic projection direction for a linking number")
+
+
+def _projected_crossings(pts, proj, segs, pairs):
+    """(sum where c1 is over, sum where c2 is over) of the crossing signs
+    of the candidate segment pairs, or None on a degenerate direction."""
+    over = [0, 0]
+    for i, j in pairs:
+        (a0, a1), (b0, b1) = segs[0][i], segs[1][j]
+        a, b, c, d = proj[a0], proj[a1], proj[b0], proj[b1]
+        o = (orient2(a, b, c), orient2(a, b, d), orient2(c, d, a), orient2(c, d, b))
+        if o[0] * o[1] < 0 and o[2] * o[3] < 0:
+            # heights at the crossing: a + t (b - a) and c + u (d - c)
+            e, f = (b[0] - a[0], b[1] - a[1]), (d[0] - c[0], d[1] - c[1])
+            den = e[0] * f[1] - e[1] * f[0]
+            t = Q((c[0] - a[0]) * f[1] - (c[1] - a[1]) * f[0], den)
+            u = Q((c[0] - a[0]) * e[1] - (c[1] - a[1]) * e[0], den)
+            z1 = pts[a0][2] + t * (pts[a1][2] - pts[a0][2])
+            z2 = pts[b0][2] + u * (pts[b1][2] - pts[b0][2])
+            if z1 == z2:
+                return None
+            over[z1 < z2] += sign(den) if z1 > z2 else -sign(den)
+        elif any(s == 0 and _in_box(u, v, w) for s, (u, v, w) in zip(
+                o, ((a, b, c), (a, b, d), (c, d, a), (c, d, b)))):
+            return None
+    return over
+
+
+def _in_box(u, v, w):
+    """Is w in the closed box of u and v (w on their line: w on uv)?"""
+    return (min(u[0], v[0]) <= w[0] <= max(u[0], v[0])
+            and min(u[1], v[1]) <= w[1] <= max(u[1], v[1]))
 
 
 def check_embedded(surface):

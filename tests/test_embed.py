@@ -29,7 +29,6 @@ from masseylink.drawing import (
 from masseylink import embed
 from masseylink.embed import (
     _dist2_point_line,
-    _in_closed_tri2,
     _wall_and_polygon,
     build_embedding,
     meridian,
@@ -43,6 +42,7 @@ from masseylink.plgeom import (
     PLCurve,
     PLSurface,
     curve_surface_count,
+    in_closed_tri2,
     lift,
     orient2,
 )
@@ -681,7 +681,7 @@ def _ear_clip_unfiltered(poly2, orient):
             i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
             a, b, c = poly2[i0], poly2[i1], poly2[i2]
             if orient2(a, b, c) == orient and not any(
-                    j not in (i0, i1, i2) and _in_closed_tri2(a, b, c, poly2[j], orient)
+                    j not in (i0, i1, i2) and in_closed_tri2(a, b, c, poly2[j], orient)
                     for j in idx):
                 tris.append((i0, i1, i2))
                 idx.pop(k)

@@ -29,7 +29,6 @@ from masseylink.plgeom import (
     curve_surface_crossings,
     int_triangle,
     lift,
-    linking_number,
     shadows_apart,
     stitch,
     triangle_triangle,
@@ -46,6 +45,7 @@ from plref import (
     bbox,
     check_embedded as ref_check_embedded,
     edge_hit_triangle_triangle,
+    linking_number,
     meets as ref_meets,
     orient3,
     point_in_triangle,
@@ -361,8 +361,10 @@ def test_validate_returns_rational_boundary_edges_in_order():
 
 
 def _cups(*ends):
-    """Cup records of hand-made surfaces: only where each cup ends."""
-    return [Cup(walls=range(lo, lo), disk=range(lo, hi))
+    """Cup records of hand-made surfaces: only where each cup ends, with
+    empty walls, footprint, clip and crossings."""
+    return [Cup(walls=range(lo, lo), disk=range(lo, hi), level=0, footprint=(1, ()),
+                clip=(), crossings=())
             for lo, hi in zip((0,) + ends, ends)]
 
 

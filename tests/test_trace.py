@@ -13,7 +13,7 @@ from masseylink.errors import NonzeroLinking, NotGeneric, StuckTrace
 from masseylink.fixtures import braid_closure, clasp_family, fixture_names, load_fixture
 from masseylink.massey import massey3
 from masseylink.plgeom import (
-    PLCurve, PLSurface, curve_surface_count, linking_number, v_sub, v_cross, v_dot)
+    PLCurve, PLSurface, curve_surface_count, v_sub, v_cross, v_dot)
 from masseylink.rational import Q, sign
 from masseylink.trace import (
     BoundaryPiece,
@@ -25,7 +25,8 @@ from masseylink.trace import (
     trace_derived_boundary,
 )
 from plref import (
-    banded_closures, qpoint as P, seeded_closures, surface_intersection, sweep_meets)
+    banded_closures, linking_number, qpoint as P, seeded_closures, surface_intersection,
+    sweep_meets)
 
 
 def trace_pair(K_a, K_b, F_a, F_b, pair=(0, 0)):
