@@ -8,14 +8,15 @@ The triangle kernel decides every sign on integers (see "integer forms").
 
 Every candidate pair (two triangles of one surface in
 ``PLSurface.check_embedded``, a curve segment and a triangle, or two
-plane segments of ``drawing.segments_touch``) comes from one sweep over two sets of float
-boxes, ``BoxIndex.pairs``.  A triangle pair of ``check_embedded`` then
-passes two more tests: their xy shadows must not be proved apart
-(``shadows_apart``, exact), and only then does the exact kernel
-``triangle_triangle`` cut each triangle by the other's stored plane and
-overlap the two cuts.  Neither filter drops a pair that meets.  The
-kernel orients what it returns: a segment of two triangles whose planes
-are not parallel runs along n1 x n2, the cross product of their normals.
+plane segments of ``drawing.segments_touch``) comes from one sweep over
+two sets of float boxes, ``BoxIndex.pairs``.  A triangle pair of
+``check_embedded`` then passes two more tests: their xy shadows must not
+be proved apart (``shadows_apart``, exact), and only then does the exact
+kernel ``triangle_triangle`` cut each triangle by the other's stored
+plane and overlap the two cuts.  Neither filter drops a pair that
+meets.  The kernel orients what it returns: a segment of two triangles
+whose planes are not parallel runs along n1 x n2, the cross product of
+their normals.
 Two different surfaces of an embedding are never paired triangle by
 triangle: their intersection curves are read off the ``Cup`` records
 (``trace.cup_intersection``), in exact 2D work on footprints and levels.
@@ -699,7 +700,8 @@ class BoxIndex:
     them.  ``pairs`` of two indexes is the one way the package finds
     candidate pairs: for ``check_embedded``, curve crossings and
     ``drawing.segments_touch``; ``query``, a scan of every row against
-    one box, is what it must equal, and ``PLCurve.locate`` takes its candidates from it, so it stays here.
+    one box, is what it must equal, and ``PLCurve.locate`` takes its
+    candidates from it, so it stays here.
     A corner past the float range is an InputError.
     No pair whose exact boxes overlap is missed, at any scale: min(ints) /
     D is one correctly rounded int/int division, the ``float`` of the
